@@ -121,7 +121,7 @@ def _resolve_threads(value: int | None) -> int:
         if parsed < 1:
             raise _UsageError(f"LRMA_UQ_THREADS must be >= 1, got {parsed}")
         return parsed
-    return os.cpu_count() or 1
+    return 1
 
 
 def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -> None:
@@ -145,8 +145,11 @@ def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -
                              "apply 0 and 1 to the whole window std (lower and "
                              "upper bounds)")
     parser.add_argument("--threads", type=_int_at_least(1), default=None,
-                        help="patch-level worker threads (default: LRMA_UQ_THREADS "
-                             "or all cores); never changes output bytes")
+                        help="worker threads, each fitting one origin row of windows "
+                             "at a time (default: LRMA_UQ_THREADS, else 1); never "
+                             "changes output bytes. BLAS runs its own threads inside "
+                             "each worker, so more workers help only when BLAS is "
+                             "limited to one thread (e.g. OPENBLAS_NUM_THREADS=1)")
 
 
 def _pipeline_config(args: argparse.Namespace, sigma0: float, rank: int | None = None) -> PipelineConfig:

@@ -66,41 +66,85 @@ class GodecResult:
         return self.residual_history[-1]
 
 
+# A matrix whose r-th Gram eigenvalue falls below this fraction of the first
+# (sigma_r / sigma_1 < 1e-4) is refit with a full SVD: squaring the
+# condition number leaves too few accurate digits in the weak directions.
+_GRAM_FLOOR = 1e-8
+
+
+def truncated_svd_batch(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-r truncated SVD of every matrix in an (n, K, L) stack.
+
+    Returns stacks u (n, K, r), s (n, r) and v (n, L, r); each slice follows
+    the conventions of `truncated_svd`. The top r eigenpairs of the Gram
+    matrix on the smaller side (A^T A, or A A^T when K < L) give that side's
+    singular vectors and s = sqrt(lambda); the other side is A v / s. One
+    batched matmul and one batched eigh serve the whole stack; a zero or
+    nearly rank-deficient matrix (see _GRAM_FLOOR) is refit with the full
+    SVD instead.
+    """
+    mats = np.asarray(mats, dtype=np.float64)
+    if mats.ndim != 3:
+        raise ValueError(f"expected an (n, K, L) matrix stack, got ndim={mats.ndim}")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("matrix entries must all be finite")
+    _, k, l = mats.shape
+    if not 1 <= rank <= min(k, l):
+        raise ValueError(f"rank must satisfy 1 <= rank <= {min(k, l)}, got {rank}")
+    wide = k < l
+    a = np.swapaxes(mats, 1, 2) if wide else mats
+    lam, vec = np.linalg.eigh(np.swapaxes(a, 1, 2) @ a)
+    lam = lam[:, ::-1][:, :rank]
+    near = vec[:, :, ::-1][:, :, :rank]
+    refit = (lam[:, 0] <= 0) | (lam[:, -1] < _GRAM_FLOOR * lam[:, 0])
+    s = np.sqrt(np.where(refit[:, None], 1.0, lam))
+    far = (a @ near) / s[:, None, :]
+    u, v = (near, far) if wide else (far, near)
+    for i in np.flatnonzero(refit):
+        ui, si, vti = np.linalg.svd(mats[i], full_matrices=False)
+        u[i], s[i], v[i] = ui[:, :rank], si[:rank], vti[:rank].T
+    # Fix signs so the largest-magnitude entry of each left singular vector
+    # is positive.
+    anchor = np.argmax(np.abs(u), axis=1)[:, None, :]
+    signs = np.sign(np.take_along_axis(u, anchor, axis=1))
+    signs[signs == 0] = 1.0
+    return u * signs, s, v * signs
+
+
 def truncated_svd(mat: np.ndarray, rank: int) -> LowRankFactors:
     """Best rank-r approximation factors of a matrix (Eckart-Young).
 
     Signs are fixed so the largest-magnitude entry of each left singular
     vector is positive, making the factors reproducible across runs and
-    linear-algebra backends.
+    linear-algebra backends. Computed by `truncated_svd_batch` on a stack
+    of one, so a single matrix and a window stack share one numerical path.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={mat.ndim}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix entries must all be finite")
-    k, l = mat.shape
-    if not 1 <= rank <= min(k, l):
-        raise ValueError(f"rank must satisfy 1 <= rank <= {min(k, l)}, got {rank}")
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    u, v = u[:, :rank], vt[:rank].T
-    anchor = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[anchor, np.arange(rank)])
-    signs[signs == 0] = 1.0
-    return LowRankFactors(u=u * signs, s=s[:rank], v=v * signs)
+    u, s, v = truncated_svd_batch(mat[None], rank)
+    return LowRankFactors(u=u[0], s=s[0], v=v[0])
 
 
 def _keep_largest(mat: np.ndarray, count: int) -> np.ndarray:
-    """Zero all but the `count` largest-magnitude entries."""
+    """Zero all but the `count` largest-magnitude entries.
+
+    Ties at the count-th largest magnitude are kept lowest flat index
+    first, so the kept set is deterministic (the set a stable descending
+    sort would keep).
+    """
     if count == 0:
         return np.zeros_like(mat)
     flat = np.abs(mat).ravel()
     if count >= flat.size:
         return mat.copy()
-    # Threshold by the count-th largest magnitude; ties are broken by
-    # flat index so the kept set is deterministic.
-    order = np.argsort(-flat, kind="stable")[:count]
+    cut = flat.size - count
+    threshold = np.partition(flat, cut)[cut]
+    above = np.flatnonzero(flat > threshold)
+    ties = np.flatnonzero(flat == threshold)[:count - above.size]
+    keep = np.concatenate([above, ties])
     out = np.zeros_like(mat)
-    out.ravel()[order] = mat.ravel()[order]
+    out.ravel()[keep] = mat.ravel()[keep]
     return out
 
 

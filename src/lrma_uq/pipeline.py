@@ -9,11 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .cube import HsiCube, VoxelIndex, extract_patch
-from .lowrank import LowRankFactors, godec, truncated_svd
+from .cube import HsiCube, hadamard_divide
+from .lowrank import godec, truncated_svd_batch
 from .uncertainty import CorrelationRule, aggregate_variance, split_variance
-from .windows import WindowConfig, aggregate_mean, enumerate_patches, patch_to_matrix
+from .windows import WindowConfig, _scatter_blocks, enumerate_patches
 
 _log = logging.getLogger(__name__)
 
@@ -24,9 +25,13 @@ _SOLVERS = ("godec", "tsvd")
 class PipelineConfig:
     """Everything a denoising run needs besides the cube itself.
 
-    sigma0 is the global noise std used only by the variance path; threads
-    caps the patch-level worker count (1 = serial) and never changes the
-    output bytes.
+    sigma0 is the global noise std used only by the variance path. threads
+    is the number of worker threads that fit origin rows of windows
+    concurrently (1 = serial, the default); it never changes the output
+    bytes. Each worker's linear algebra also runs on the BLAS library's own
+    threads, so more workers only pay off when BLAS is limited to one
+    thread (for example OPENBLAS_NUM_THREADS=1); otherwise they compete for
+    the same cores.
     """
 
     window: WindowConfig = WindowConfig()
@@ -50,53 +55,80 @@ class PipelineConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
-def _fit_patch(mat: np.ndarray, cfg: PipelineConfig) -> tuple[np.ndarray, LowRankFactors, bool]:
-    """Rank-r fit of one patch matrix: (approximation, factors, converged)."""
-    w = cfg.window
-    k = w.sparse_count(mat.size)
-    if cfg.solver == "tsvd" or k == 0:
-        f = truncated_svd(mat, w.rank)
-        return f.matrix(), f, True
-    res = godec(mat, w.rank, k, max_iter=cfg.max_iter, tol=cfg.tol)
-    return res.low_rank, res.factors, res.converged
+def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig) -> tuple:
+    """Rank-r fit of the windows at one row origin.
 
-
-def _run_patches(cube: HsiCube, cfg: PipelineConfig, grid) -> list:
-    """Fit every window; results are listed in canonical origin order.
-
-    Each patch is an independent pure computation, so the worker count
-    affects wall-clock only: results are collected in submission order and
-    all reductions happen afterwards, in canonical order.
+    `windows` is the (N-J+1, P, J, J) sliding-window view of the row's
+    J-pixel slab; each window becomes a (J*J) x P matrix, pixels in
+    row-major order by bands. Truncated SVD runs as one batched kernel over
+    the row; GoDec runs window by window. Returns the (windows, J, J, P)
+    approximations, the (windows, J*J, r) and (windows, P, r) factors u and
+    v, and the count of windows that hit the GoDec iteration cap.
     """
-    jside = cfg.window.patch_side
-    p = cube.bands
-    size = (jside, jside, p)
-
-    def work(origin):
-        mat = patch_to_matrix(extract_patch(cube, VoxelIndex(origin[0], origin[1], 0), size))
-        approx, factors, converged = _fit_patch(mat, cfg)
-        return approx.reshape(jside, jside, p), factors, converged
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, grid.origins))
+    w = cfg.window
+    jside, p = w.patch_side, windows.shape[1]
+    mats = np.moveaxis(windows[col_origins], 1, 3).reshape(col_origins.size, jside * jside, p)
+    k = w.sparse_count(jside * jside * p)
+    stalled = 0
+    if cfg.solver == "tsvd" or k == 0:
+        u, s, v = truncated_svd_batch(mats, w.rank)
+        approx = (u * s[:, None, :]) @ np.swapaxes(v, 1, 2)
     else:
-        results = [work(o) for o in grid.origins]
+        fits = [godec(m, w.rank, k, max_iter=cfg.max_iter, tol=cfg.tol) for m in mats]
+        approx = np.stack([f.low_rank for f in fits])
+        u = np.stack([f.factors.u for f in fits])
+        v = np.stack([f.factors.v for f in fits])
+        stalled = sum(not f.converged for f in fits)
+    return approx.reshape(col_origins.size, jside, jside, p), u, v, stalled
 
-    stalled = sum(1 for _, _, ok in results if not ok)
+
+def _ordered(fn, count: int, workers: int):
+    """Yield fn(0), ..., fn(count - 1) in order, computed by `workers` threads."""
+    if workers == 1:
+        yield from map(fn, range(count))
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, range(count))
+
+
+def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
+    """Fit every window and average the fits: (grid, mean, row_lev, col_lev).
+
+    Windows are fitted one origin row at a time, and each row is
+    scatter-added as it arrives, in canonical order, so no stack of all
+    windows is ever held. The rows do not depend on the worker count, so
+    neither do the output bytes. The leverage stacks are in grid.origins
+    order, or None when not asked for.
+    """
+    grid = enumerate_patches(cube.dims, cfg.window)
+    jside = cfg.window.patch_side
+    ro, co = grid.row_origins, grid.col_origins
+    slabs = sliding_window_view(cube.data, (jside, jside), axis=(0, 1))
+
+    def fit(i: int) -> tuple:
+        return _fit_row(slabs[ro[i]], co, cfg)
+
+    acc = np.zeros(cube.dims, dtype=np.float64)
+    us, vs, stalled = [], [], 0
+    for i, (approx, u, v, capped) in enumerate(_ordered(fit, ro.size, cfg.threads)):
+        _scatter_blocks(acc, approx[None], ro[i:i + 1], co)
+        if leverage:
+            us.append(u)
+            vs.append(v)
+        stalled += capped
     if stalled:
         _log.warning("%d of %d patches hit the iteration cap before converging",
-                     stalled, len(results))
-    return results
+                     stalled, len(grid))
+    mean = hadamard_divide(HsiCube(acc, copy=False), grid.coverage)
+    if not leverage:
+        return grid, mean, None, None
+    u, v = np.concatenate(us), np.concatenate(vs)
+    return grid, mean, np.einsum("nur,nur->nu", u, u), np.einsum("nvr,nvr->nv", v, v)
 
 
 def denoise(cube: HsiCube, cfg: PipelineConfig) -> HsiCube:
     """Sliding-window low-rank denoising with overlap averaging."""
-    grid = enumerate_patches(cube.dims, cfg.window)
-    results = _run_patches(cube, cfg, grid)
-    return aggregate_mean(
-        ((o, patch) for o, (patch, _, _) in zip(grid.origins, results)), grid
-    )
+    return _fit_windows(cube, cfg, leverage=False)[1]
 
 
 def denoise_with_uq(cube: HsiCube, cfg: PipelineConfig) -> tuple[HsiCube, HsiCube]:
@@ -113,23 +145,11 @@ def denoise_with_uq(cube: HsiCube, cfg: PipelineConfig) -> tuple[HsiCube, HsiCub
     the whole per-window std sigma0 * sqrt(row + column leverage) and bound
     the split from below and above.
     """
-    grid = enumerate_patches(cube.dims, cfg.window)
-    results = _run_patches(cube, cfg, grid)
-    mean = aggregate_mean(
-        ((o, patch) for o, (patch, _, _) in zip(grid.origins, results)), grid
-    )
-
-    jside = cfg.window.patch_side
-    p = cube.bands
-    u_stack = np.stack([f.u for _, f, _ in results])
-    v_stack = np.stack([f.v for _, f, _ in results])
-    row_lev = np.einsum("nur,nur->nu", u_stack, u_stack)
-    col_lev = np.einsum("nvr,nvr->nv", v_stack, v_stack)
+    grid, mean, row_lev, col_lev = _fit_windows(cube, cfg, leverage=True)
     if cfg.correlation.mode == "overlap":
         return mean, split_variance(row_lev, col_lev, grid, cfg.sigma0)
+    jside = cfg.window.patch_side
     var_mats = row_lev[:, :, None] + col_lev[:, None, :]
     var_mats *= cfg.sigma0 * cfg.sigma0
-    var_patches = var_mats.reshape(len(results), jside, jside, p)
-
-    variance = aggregate_variance(var_patches, grid, cfg.correlation, copy=False)
-    return mean, variance
+    var_patches = var_mats.reshape(len(grid), jside, jside, cube.bands)
+    return mean, aggregate_variance(var_patches, grid, cfg.correlation, copy=False)

@@ -4,15 +4,14 @@ aggregation of per-patch variances into a per-voxel variance cube."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .cube import HsiCube
 from .lowrank import LowRankFactors
-from .windows import PatchGrid, matrix_to_patch
+from .windows import PatchGrid, _scatter_blocks, matrix_to_patch
 
 Origin = tuple[int, int]
 
@@ -104,53 +103,6 @@ def patch_variance(lev: LeverageMap, sigma0: float, patch_side: int, bands: int)
     return matrix_to_patch(lev.variance_matrix(sigma0), patch_side, bands)
 
 
-def _uniform_step(starts: np.ndarray) -> int | None:
-    """The common spacing of `starts`, or None if the spacing varies."""
-    if starts.size < 2:
-        return None
-    d = np.diff(starts)
-    return int(d[0]) if np.all(d == d[0]) else None
-
-
-def _scatter_blocks(acc: np.ndarray, blocks: np.ndarray,
-                    row_starts: np.ndarray, col_starts: np.ndarray) -> None:
-    """acc[r:r+h, c:c+w, :] += blocks[i, j] over the (row, col) start grid.
-
-    When starts are uniformly spaced, each axis is thinned to every g-th
-    start (g = ceil(block extent / spacing)) so the strided destination
-    views are disjoint and a single in-place add per thinned group is safe.
-    Non-uniform spacings fall back to a per-block loop.
-    """
-    ni, nj, h, w, _ = blocks.shape
-    sr = _uniform_step(row_starts)
-    sc = _uniform_step(col_starts)
-    gr = 1 if ni == 1 else (None if sr is None else -(-h // sr))
-    gc = 1 if nj == 1 else (None if sc is None else -(-w // sc))
-    if gr is None or gc is None:
-        for i in range(ni):
-            r = int(row_starts[i])
-            for j in range(nj):
-                c = int(col_starts[j])
-                acc[r:r + h, c:c + w, :] += blocks[i, j]
-        return
-    es0, es1, es2 = acc.strides
-    for oi in range(min(gr, ni)):
-        rsub = row_starts[oi::gr]
-        for oj in range(min(gc, nj)):
-            csub = col_starts[oj::gc]
-            sub = blocks[oi::gr, oj::gc]
-            view = as_strided(
-                acc[int(rsub[0]):, int(csub[0]):, :],
-                shape=sub.shape,
-                strides=(
-                    (sr * gr * es0) if sub.shape[0] > 1 else 0,
-                    (sc * gc * es1) if sub.shape[1] > 1 else 0,
-                    es0, es1, es2,
-                ),
-            )
-            view += sub
-
-
 def _runs(vals: np.ndarray) -> Iterable[tuple[int, int, int]]:
     """Contiguous runs of equal value: yields (start, stop, value)."""
     b = 0
@@ -171,21 +123,20 @@ def _add_cross_terms(num: np.ndarray, stds: np.ndarray, grid: PatchGrid) -> None
     ro, co = grid.row_origins, grid.col_origins
     nr, nc = ro.size, co.size
     inv_area = 1.0 / (jside * jside)
+    # Origins strictly increase, so the smallest spacing between origins d
+    # apart grows with d: only column offsets |dj| < reach can overlap.
+    reach = next((d for d in range(1, nc) if int((co[d:] - co[:nc - d]).min()) >= jside), nc)
     scratch = None  # one product buffer reused by every offset group
     for di in range(nr):
-        if di and int((ro[di:] - ro[:nr - di]).min()) >= jside:
+        drs = ro[di:] - ro[:nr - di]
+        if di and int(drs.min()) >= jside:
             break
-        for dj in range(-(nc - 1), nc):
+        for dj in range(1 - reach, reach):
             if di == 0 and dj <= 0:
                 continue  # count each unordered pair once
             pj0 = max(0, -dj)
             pj1 = nc - max(0, dj)
-            if pj1 <= pj0:
-                continue
-            drs = ro[di:] - ro[:nr - di]
             dcs = co[pj0 + dj:pj1 + dj] - co[pj0:pj1]
-            if int(np.abs(dcs).min()) >= jside:
-                continue
             for ib, ie, dr in _runs(drs):
                 if dr >= jside:
                     continue
@@ -311,10 +262,13 @@ def split_variance(
         var = sigma0^2 / phi^2 * [sum_{p,q} rho_pq sqrt(lu_p lu_q)
                                   + (sum_p sqrt(lv_p))^2]
 
-    The first term is the overlap aggregation of sigma0^2 * lu on a one-band
-    plane, broadcast over the bands; the second is the full-correlation
-    aggregation of sigma0^2 * lv spread over each window's pixels. With one
-    window per voxel this is sigma0^2 * (lu + lv).
+    The first term is the overlap aggregation of sigma0^2 * lu (as in
+    `aggregate_variance`) on a one-band plane, broadcast over the bands. In
+    the second, sqrt(lv_p) is constant over window p's pixels, so the sum
+    over covering windows is a box sum over window origins that separates
+    by axis: two products with the pixel-in-window indicator matrices of the
+    row and column origins. With one window per voxel this is
+    sigma0^2 * (lu + lv).
 
     row_lev is (len(grid), J*J) and col_lev is (len(grid), P), both in
     grid.origins order.
@@ -328,18 +282,22 @@ def split_variance(
             f"({count}, {jside * jside}), ({count}, {p})"
         )
     s2 = sigma0 * sigma0
-    plane = replace(
-        grid, dims=(m, n, 1), coverage=HsiCube(grid.coverage.data[:, :, :1], copy=False)
-    )
-    spatial = aggregate_variance(
-        (s2 * row_lev).reshape(count, jside, jside, 1), plane,
-        CorrelationRule("overlap"), copy=False,
-    )
-    spectral_patches = np.empty((count, jside * jside, p), dtype=np.float64)
-    np.multiply(s2, col_lev[:, None, :], out=spectral_patches)
-    out = aggregate_variance(
-        spectral_patches.reshape(count, jside, jside, p), grid,
-        CorrelationRule("full"), copy=False,
-    ).data
-    out += spatial.data
+    ro, co = grid.row_origins, grid.col_origins
+    spatial_var = (s2 * row_lev).reshape(ro.size, co.size, jside, jside, 1)
+    spatial = np.zeros((m, n, 1), dtype=np.float64)
+    _scatter_blocks(spatial, spatial_var, ro, co)
+    _add_cross_terms(spatial, np.sqrt(spatial_var), grid)
+    roots = np.sqrt(s2 * col_lev).reshape(ro.size, co.size * p)
+    by_row = (_cover_indicator(m, ro, jside) @ roots).reshape(m, co.size, p)
+    out = np.matmul(_cover_indicator(n, co, jside), by_row)
+    np.square(out, out=out)
+    out += spatial
+    np.divide(out, grid.coverage.data, out=out)
+    np.divide(out, grid.coverage.data, out=out)
     return HsiCube(out, copy=False)
+
+
+def _cover_indicator(extent: int, origins: np.ndarray, patch_side: int) -> np.ndarray:
+    """(extent, len(origins)) matrix: 1 where the pixel lies in the window."""
+    pixels = np.arange(extent)[:, None]
+    return ((origins <= pixels) & (pixels < origins + patch_side)).astype(np.float64)

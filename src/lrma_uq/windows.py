@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .cube import HsiCube, VoxelIndex, hadamard_divide, scatter_add_patch
+from .cube import HsiCube, VoxelIndex, hadamard_divide
 
 Origin = tuple[int, int]
 
@@ -170,15 +171,63 @@ def voxel_to_matrix_index(xi: VoxelIndex, origin: Origin, patch_side: int) -> tu
     return dr * patch_side + dc, xi.band
 
 
+def _uniform_step(starts: np.ndarray) -> int | None:
+    """The common spacing of `starts`, or None if the spacing varies."""
+    if starts.size < 2:
+        return None
+    d = starts[1:] - starts[:-1]
+    return int(d[0]) if (d == d[0]).all() else None
+
+
+def _scatter_blocks(acc: np.ndarray, blocks: np.ndarray,
+                    row_starts: np.ndarray, col_starts: np.ndarray) -> None:
+    """acc[r:r+h, c:c+w, :] += blocks[i, j] over the (row, col) start grid.
+
+    When starts are uniformly spaced, each axis is thinned to every g-th
+    start (g = ceil(block extent / spacing)) so the strided destination
+    views are disjoint and a single in-place add per thinned group is safe.
+    Non-uniform spacings fall back to a per-block loop.
+    """
+    ni, nj, h, w, _ = blocks.shape
+    sr = _uniform_step(row_starts)
+    sc = _uniform_step(col_starts)
+    gr = 1 if ni == 1 else (None if sr is None else -(-h // sr))
+    gc = 1 if nj == 1 else (None if sc is None else -(-w // sc))
+    if gr is None or gc is None:
+        for i in range(ni):
+            r = int(row_starts[i])
+            for j in range(nj):
+                c = int(col_starts[j])
+                acc[r:r + h, c:c + w, :] += blocks[i, j]
+        return
+    es0, es1, es2 = acc.strides
+    for oi in range(min(gr, ni)):
+        rsub = row_starts[oi::gr]
+        for oj in range(min(gc, nj)):
+            csub = col_starts[oj::gc]
+            sub = blocks[oi::gr, oj::gc]
+            view = as_strided(
+                acc[int(rsub[0]):, int(csub[0]):, :],
+                shape=sub.shape,
+                strides=(
+                    (sr * gr * es0) if sub.shape[0] > 1 else 0,
+                    (sc * gc * es1) if sub.shape[1] > 1 else 0,
+                    es0, es1, es2,
+                ),
+            )
+            view += sub
+
+
 def aggregate_mean(
     denoised_patches: Iterable[tuple[Origin, np.ndarray]] | Sequence[tuple[Origin, np.ndarray]],
     grid: PatchGrid,
 ) -> HsiCube:
     """Average overlapping denoised patches into a full cube.
 
-    Patches are scatter-added in canonical (sorted-origin) order and the sum
-    is divided element-wise by the coverage counts, so every voxel is the
-    mean of the windows covering it. The patch set must match the grid.
+    Patches are scatter-added one origin row at a time, in canonical
+    (sorted-origin) order, and the sum is divided element-wise by the
+    coverage counts, so every voxel is the mean of the windows covering it.
+    The patch set must match the grid.
     """
     by_origin = {origin: patch for origin, patch in denoised_patches}
     missing = [o for o in grid.origins if o not in by_origin]
@@ -188,7 +237,14 @@ def aggregate_mean(
         extra = set(by_origin) - set(grid.origins)
         raise ValueError(f"patches supplied for origins not in grid: {sorted(extra)[:5]}")
 
-    acc = HsiCube.zeros(grid.dims)
-    for origin in grid.origins:  # canonical order keeps the sum bit-reproducible
-        scatter_add_patch(acc, VoxelIndex(origin[0], origin[1], 0), by_origin[origin])
-    return hadamard_divide(acc, grid.coverage)
+    shape = (grid.config.patch_side, grid.config.patch_side, grid.dims[2])
+    misshapen = [o for o, patch in by_origin.items() if np.shape(patch) != shape]
+    if misshapen:
+        raise ValueError(f"patches at origins {misshapen[:5]} are not of shape {shape}")
+
+    acc = np.zeros(grid.dims, dtype=np.float64)
+    for i, r in enumerate(grid.row_origins):
+        row = np.stack([by_origin[(int(r), int(c))] for c in grid.col_origins])
+        _scatter_blocks(acc, row[None].astype(np.float64, copy=False),
+                        grid.row_origins[i:i + 1], grid.col_origins)
+    return hadamard_divide(HsiCube(acc, copy=False), grid.coverage)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lrma_uq import read_cube, read_report_csv
-from lrma_uq.cli import _build_parser, main
+from lrma_uq.cli import _build_parser, _resolve_threads, main
 
 SMALL_WINDOW = ["--window", "6", "--step", "3", "--rank", "2"]
 
@@ -216,6 +216,15 @@ class TestThreads:
         code, err = run(capsys, "denoise", "--in", str(clean), "--out", str(out),
                         *SMALL_WINDOW)
         assert code == 0 and err == ""
+
+    def test_default_is_one_worker_without_env_var(self, monkeypatch):
+        # Workers only pay off with BLAS held to one thread, so the default
+        # does not follow the core count.
+        monkeypatch.delenv("LRMA_UQ_THREADS", raising=False)
+        assert _resolve_threads(None) == 1
+        monkeypatch.setenv("LRMA_UQ_THREADS", "3")
+        assert _resolve_threads(None) == 3
+        assert _resolve_threads(2) == 2
 
     def test_env_var_must_be_a_positive_integer(self, capsys, tmp_path, monkeypatch):
         clean = make_clean(capsys, tmp_path)

@@ -12,7 +12,9 @@ from lrma_uq import (
     godec,
     procrustes_rectify,
     truncated_svd,
+    truncated_svd_batch,
 )
+from lrma_uq.lowrank import _keep_largest
 
 SQRT5 = np.sqrt(5.0)
 
@@ -99,6 +101,98 @@ class TestTruncatedSvd:
         a[2, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             truncated_svd(a, 2)
+
+
+def counting_svd(monkeypatch) -> list:
+    """Route numpy.linalg.svd through a wrapper; returns the call log."""
+    calls = []
+    real = np.linalg.svd
+
+    def svd(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+class TestTruncatedSvdBatch:
+    @staticmethod
+    def check_against_svd_oracle(stack, rank):
+        oracles = []
+        for mat in stack:
+            u, s, vt = np.linalg.svd(mat, full_matrices=False)
+            oracles.append(((u[:, :rank] * s[:rank]) @ vt[:rank], s[:rank]))
+        u, s, v = truncated_svd_batch(stack, rank)
+        assert u.shape == stack.shape[:2] + (rank,)
+        assert v.shape == (stack.shape[0], stack.shape[2], rank)
+        eye = np.eye(rank)
+        for i, (approx, sigma) in enumerate(oracles):
+            assert np.linalg.norm((u[i] * s[i]) @ v[i].T - approx) <= 1e-10
+            np.testing.assert_allclose(s[i], sigma, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(u[i].T @ u[i], eye, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(v[i].T @ v[i], eye, rtol=0, atol=1e-10)
+            anchor = np.argmax(np.abs(u[i]), axis=0)
+            assert np.all(u[i][anchor, np.arange(rank)] > 0)
+        return u, s, v
+
+    def test_tall_stack_matches_per_matrix_svd(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        stack = rng.standard_normal((12, 40, 9))
+        svd_calls = counting_svd(monkeypatch)
+        self.check_against_svd_oracle(stack, 4)
+        assert len(svd_calls) == 12  # the oracle's calls; the kernel made none
+
+    def test_wide_stack_matches_per_matrix_svd(self):
+        rng = np.random.default_rng(31)
+        self.check_against_svd_oracle(rng.standard_normal((7, 6, 15)), 3)
+
+    def test_rank_deficient_and_zero_windows_take_the_svd_fallback(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        stack = rng.standard_normal((5, 30, 8))
+        stack[1] = rng.standard_normal((30, 2)) @ rng.standard_normal((2, 8))
+        stack[3] = 0.0
+        svd_calls = counting_svd(monkeypatch)
+        u, s, _ = truncated_svd_batch(stack, 4)
+        assert svd_calls == [(30, 8), (30, 8)]
+        assert s[1, 2] < 1e-12 and not s[3].any()
+        svd_calls.clear()
+        self.check_against_svd_oracle(stack, 4)
+
+    def test_stack_of_one_is_truncated_svd(self):
+        rng = np.random.default_rng(33)
+        mats = rng.standard_normal((3, 11, 7))
+        u, s, v = truncated_svd_batch(mats, 3)
+        for i, mat in enumerate(mats):
+            f = truncated_svd(mat, 3)
+            np.testing.assert_array_equal(f.u, u[i])
+            np.testing.assert_array_equal(f.s, s[i])
+            np.testing.assert_array_equal(f.v, v[i])
+
+    def test_invalid_input(self):
+        with pytest.raises(ValueError, match="stack"):
+            truncated_svd_batch(np.ones((4, 4)), 1)
+        with pytest.raises(ValueError, match="rank"):
+            truncated_svd_batch(np.ones((2, 4, 3)), 4)
+        bad = np.ones((2, 4, 3))
+        bad[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            truncated_svd_batch(bad, 1)
+
+
+class TestKeepLargest:
+    def test_ties_match_stable_argsort_oracle(self):
+        # Nonzero integers of magnitude 1 to 4: most magnitudes tie, so the
+        # tie-break decides the kept set, and no kept entry reads as zero.
+        rng = np.random.default_rng(34)
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 9, size=2))
+            mat = rng.integers(1, 5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+            count = int(rng.integers(0, mat.size + 2))
+            order = np.argsort(-np.abs(mat).ravel(), kind="stable")[:count]
+            oracle = np.zeros_like(mat)
+            oracle.ravel()[order] = mat.ravel()[order]
+            np.testing.assert_array_equal(_keep_largest(mat, count), oracle)
 
 
 class TestGodec:

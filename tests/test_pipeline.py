@@ -16,11 +16,14 @@ from lrma_uq import (
     PipelineConfig,
     WindowConfig,
     add_gaussian,
+    aggregate_mean,
     denoise,
     denoise_with_uq,
     enumerate_patches,
+    godec,
     overlap_ratio,
     synth_lowrank_cube,
+    truncated_svd,
 )
 
 
@@ -107,6 +110,39 @@ class TestDenoise:
                 approx = (u[:, :rank] * s[:rank]) @ vt[:rank]
                 expected[r0:r0 + side, c0:c0 + side, :] = approx.reshape(side, side, 7)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("solver, sparse_card", [("tsvd", 0), ("godec", 9)])
+    def test_matches_aggregate_mean_of_per_window_fits(self, solver, sparse_card):
+        # 13x11 image, side 5, step 3: the last origin is clamped on both
+        # axes (8 after 6, and 6 after 3). Each window is fitted on its own
+        # with truncated_svd or godec and the patches are averaged by
+        # aggregate_mean, the oracle-tested averaging.
+        clean = synth_lowrank_cube((13, 11, 6), true_rank=2, seed=41)
+        noisy = add_gaussian(clean, 0.05, seed=41)
+        window = WindowConfig(patch_side=5, step=3, rank=3, sparse_card=sparse_card)
+        cfg = small_config(window=window, solver=solver)
+        grid = enumerate_patches(noisy.dims, window)
+        assert list(grid.row_origins) == [0, 3, 6, 8]
+        assert list(grid.col_origins) == [0, 3, 6]
+
+        patches = []
+        for r0, c0 in grid.origins:
+            mat = noisy.data[r0:r0 + 5, c0:c0 + 5, :].reshape(25, 6)
+            if solver == "tsvd":
+                approx = truncated_svd(mat, 3).matrix()
+            else:
+                approx = godec(mat, 3, sparse_card).low_rank
+            patches.append(((r0, c0), approx.reshape(5, 5, 6)))
+        expected = aggregate_mean(patches, grid)
+        np.testing.assert_allclose(denoise(noisy, cfg).data, expected.data, rtol=0, atol=1e-12)
+
+    def test_tsvd_fit_makes_no_per_window_svd_call(self, monkeypatch):
+        noisy = add_gaussian(synth_lowrank_cube((12, 12, 6), true_rank=2, seed=43), 0.05, seed=43)
+        calls = []
+        real = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
+        denoise_with_uq(noisy, small_config(solver="tsvd", sigma0=0.05))
+        assert calls == []
 
     def test_tsvd_solver_matches_godec_without_sparse_budget(self):
         clean = synth_lowrank_cube((12, 12, 6), true_rank=2, seed=3)

@@ -256,6 +256,13 @@ class TestAggregateMean:
         with pytest.raises(ValueError, match="origin"):
             aggregate_mean(patches, grid)
 
+    def test_misshapen_patch_rejected(self):
+        grid = enumerate_patches((4, 4, 1), WindowConfig(patch_side=2, step=2, rank=1))
+        patches = [(o, np.ones((2, 2, 1))) for o in grid.origins]
+        patches[1] = (patches[1][0], np.ones((1, 2, 1)))
+        with pytest.raises(ValueError, match="shape"):
+            aggregate_mean(patches, grid)
+
     def test_unknown_patch_origin_rejected(self):
         grid = enumerate_patches((4, 4, 1), WindowConfig(patch_side=2, step=2, rank=1))
         patches = [(o, np.ones((2, 2, 1))) for o in grid.origins]
