@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import blas
 from .io import read_cube, write_cube, write_qq_csv, write_report_csv
 from .noise import NoiseSpec, apply_noise, synth_lowrank_cube
 from .pipeline import PipelineConfig, denoise, denoise_with_uq
@@ -110,6 +111,8 @@ def _float_list(text: str) -> list[float]:
 
 
 def _resolve_threads(value: int | None) -> int:
+    """Row workers: the flag, else LRMA_UQ_THREADS, else every usable core
+    when BLAS can be held at one thread per worker (otherwise 1)."""
     if value is not None:
         return value
     env = os.environ.get("LRMA_UQ_THREADS")
@@ -121,7 +124,11 @@ def _resolve_threads(value: int | None) -> int:
         if parsed < 1:
             raise _UsageError(f"LRMA_UQ_THREADS must be >= 1, got {parsed}")
         return parsed
-    return 1
+    if not blas._can_pin():
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -> None:
@@ -146,10 +153,10 @@ def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -
                              "upper bounds)")
     parser.add_argument("--threads", type=_int_at_least(1), default=None,
                         help="worker threads, each fitting one origin row of windows "
-                             "at a time (default: LRMA_UQ_THREADS, else 1); never "
-                             "changes output bytes. BLAS runs its own threads inside "
-                             "each worker, so more workers help only when BLAS is "
-                             "limited to one thread (e.g. OPENBLAS_NUM_THREADS=1)")
+                             "at a time with BLAS held at one thread (default: "
+                             "LRMA_UQ_THREADS, else the usable cores when numpy's "
+                             "OpenBLAS can be held at one thread, else 1); never "
+                             "changes output bytes")
 
 
 def _pipeline_config(args: argparse.Namespace, sigma0: float, rank: int | None = None) -> PipelineConfig:

@@ -5,12 +5,14 @@ same per-patch factors at a small constant overhead."""
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import blas
 from .cube import HsiCube, hadamard_divide
 from .lowrank import godec, truncated_svd_batch
 from .uncertainty import CorrelationRule, aggregate_variance, split_variance
@@ -26,12 +28,12 @@ class PipelineConfig:
     """Everything a denoising run needs besides the cube itself.
 
     sigma0 is the global noise std used only by the variance path. threads
-    is the number of worker threads that fit origin rows of windows
-    concurrently (1 = serial, the default); it never changes the output
-    bytes. Each worker's linear algebra also runs on the BLAS library's own
-    threads, so more workers only pay off when BLAS is limited to one
-    thread (for example OPENBLAS_NUM_THREADS=1); otherwise they compete for
-    the same cores.
+    is the number of workers that fit origin rows of windows concurrently,
+    the calling thread being one of them (1 = serial, the default here; the
+    CLI defaults to the usable cores). The fit holds numpy's OpenBLAS at
+    one thread for every worker count (see `blas._one_thread`), so the
+    workers do not oversubscribe the cores and never change the output
+    bytes.
     """
 
     window: WindowConfig = WindowConfig()
@@ -55,75 +57,112 @@ class PipelineConfig:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
-def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig) -> tuple:
+def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
+             row_lev: np.ndarray | None, col_lev: np.ndarray | None) -> tuple:
     """Rank-r fit of the windows at one row origin.
 
     `windows` is the (N-J+1, P, J, J) sliding-window view of the row's
     J-pixel slab; each window becomes a (J*J) x P matrix, pixels in
     row-major order by bands. Truncated SVD runs as one batched kernel over
-    the row; GoDec runs window by window. Returns the (windows, J, J, P)
-    approximations, the (windows, J*J, r) and (windows, P, r) factors u and
-    v, and the count of windows that hit the GoDec iteration cap.
+    the row; GoDec runs window by window into preallocated row arrays.
+    Writes the row and column leverages of the fit factors into the
+    (windows, J*J) `row_lev` and (windows, P) `col_lev` when given. Returns
+    the (windows, J, J, P) approximations and the count of windows that hit
+    the GoDec iteration cap.
     """
     w = cfg.window
-    jside, p = w.patch_side, windows.shape[1]
-    mats = np.moveaxis(windows[col_origins], 1, 3).reshape(col_origins.size, jside * jside, p)
+    n, jside, p = col_origins.size, w.patch_side, windows.shape[1]
+    mats = np.moveaxis(windows[col_origins], 1, 3).reshape(n, jside * jside, p)
     k = w.sparse_count(jside * jside * p)
     stalled = 0
     if cfg.solver == "tsvd" or k == 0:
         u, s, v = truncated_svd_batch(mats, w.rank)
         approx = (u * s[:, None, :]) @ np.swapaxes(v, 1, 2)
     else:
-        fits = [godec(m, w.rank, k, max_iter=cfg.max_iter, tol=cfg.tol) for m in mats]
-        approx = np.stack([f.low_rank for f in fits])
-        u = np.stack([f.factors.u for f in fits])
-        v = np.stack([f.factors.v for f in fits])
-        stalled = sum(not f.converged for f in fits)
-    return approx.reshape(col_origins.size, jside, jside, p), u, v, stalled
+        approx = np.empty_like(mats)
+        u = np.empty((n, jside * jside, w.rank))
+        v = np.empty((n, p, w.rank))
+        for i, m in enumerate(mats):
+            fit = godec(m, w.rank, k, max_iter=cfg.max_iter, tol=cfg.tol)
+            approx[i], u[i], v[i] = fit.low_rank, fit.factors.u, fit.factors.v
+            stalled += not fit.converged
+    if row_lev is not None:
+        np.einsum("nur,nur->nu", u, u, out=row_lev)
+        np.einsum("nvr,nvr->nv", v, v, out=col_lev)
+    return approx.reshape(n, jside, jside, p), stalled
 
 
 def _ordered(fn, count: int, workers: int):
-    """Yield fn(0), ..., fn(count - 1) in order, computed by `workers` threads."""
-    if workers == 1:
+    """Yield fn(0), ..., fn(count - 1) in order, computed by `workers` threads.
+
+    The calling thread is one of the workers and the pool holds the other
+    workers - 1, so at most `workers` results are ever computed ahead of
+    the consumer. The caller hands rows to idle pool threads first, yields
+    finished rows next, and only then computes a row itself. Every pool
+    result is read, so an exception in a worker is raised here.
+    """
+    if workers == 1 or count == 1:
         yield from map(fn, range(count))
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, range(count))
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        ahead: deque[Future] = deque()  # started, not yet yielded, in order
+        nxt = 0
+        try:
+            while ahead or nxt < count:
+                room = nxt < count and len(ahead) < workers
+                if room and sum(not f.done() for f in ahead) < workers - 1:
+                    ahead.append(pool.submit(fn, nxt))
+                elif not room or ahead[0].done():
+                    yield ahead.popleft().result()
+                    continue
+                else:
+                    own: Future = Future()
+                    own.set_result(fn(nxt))
+                    ahead.append(own)
+                nxt += 1
+        finally:
+            for f in ahead:
+                f.cancel()
 
 
 def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     """Fit every window and average the fits: (grid, mean, row_lev, col_lev).
 
-    Windows are fitted one origin row at a time, and each row is
-    scatter-added as it arrives, in canonical order, so no stack of all
-    windows is ever held. The rows do not depend on the worker count, so
-    neither do the output bytes. The leverage stacks are in grid.origins
-    order, or None when not asked for.
+    Windows are fitted one origin row at a time, with numpy's OpenBLAS held
+    at one thread, and each row is scatter-added as it arrives, in
+    canonical order, so no stack of all windows is ever held. The rows do
+    not depend on the worker count, so neither do the output bytes. The
+    leverages are in grid.origins order, or None when not asked for.
     """
     grid = enumerate_patches(cube.dims, cfg.window)
     jside = cfg.window.patch_side
     ro, co = grid.row_origins, grid.col_origins
     slabs = sliding_window_view(cube.data, (jside, jside), axis=(0, 1))
 
+    row_lev = col_lev = None
+    if leverage:
+        row_lev = np.empty((ro.size, co.size, jside * jside))
+        col_lev = np.empty((ro.size, co.size, cube.bands))
+
     def fit(i: int) -> tuple:
-        return _fit_row(slabs[ro[i]], co, cfg)
+        # Each row writes its own slice of the leverage arrays.
+        return _fit_row(slabs[ro[i]], co, cfg,
+                        None if row_lev is None else row_lev[i],
+                        None if col_lev is None else col_lev[i])
 
     acc = np.zeros(cube.dims, dtype=np.float64)
-    us, vs, stalled = [], [], 0
-    for i, (approx, u, v, capped) in enumerate(_ordered(fit, ro.size, cfg.threads)):
-        _scatter_blocks(acc, approx[None], ro[i:i + 1], co)
-        if leverage:
-            us.append(u)
-            vs.append(v)
-        stalled += capped
+    stalled = 0
+    with blas._one_thread():
+        for i, (approx, capped) in enumerate(_ordered(fit, ro.size, cfg.threads)):
+            _scatter_blocks(acc, approx[None], ro[i:i + 1], co)
+            stalled += capped
     if stalled:
         _log.warning("%d of %d patches hit the iteration cap before converging",
                      stalled, len(grid))
     mean = hadamard_divide(HsiCube(acc, copy=False), grid.coverage)
     if not leverage:
         return grid, mean, None, None
-    u, v = np.concatenate(us), np.concatenate(vs)
-    return grid, mean, np.einsum("nur,nur->nu", u, u), np.einsum("nvr,nvr->nv", v, v)
+    return grid, mean, row_lev.reshape(len(grid), -1), col_lev.reshape(len(grid), -1)
 
 
 def denoise(cube: HsiCube, cfg: PipelineConfig) -> HsiCube:

@@ -105,10 +105,11 @@ def patch_variance(lev: LeverageMap, sigma0: float, patch_side: int, bands: int)
 
 def _runs(vals: np.ndarray) -> Iterable[tuple[int, int, int]]:
     """Contiguous runs of equal value: yields (start, stop, value)."""
+    vals = vals.tolist()  # Python ints compare far faster than numpy scalars
     b = 0
     for k in range(1, len(vals) + 1):
         if k == len(vals) or vals[k] != vals[b]:
-            yield b, k, int(vals[b])
+            yield b, k, vals[b]
             b = k
 
 

@@ -175,8 +175,9 @@ def _uniform_step(starts: np.ndarray) -> int | None:
     """The common spacing of `starts`, or None if the spacing varies."""
     if starts.size < 2:
         return None
-    d = starts[1:] - starts[:-1]
-    return int(d[0]) if (d == d[0]).all() else None
+    s = starts.tolist()  # a handful of origins: Python beats array calls here
+    d = s[1] - s[0]
+    return d if all(b - a == d for a, b in zip(s, s[1:])) else None
 
 
 def _scatter_blocks(acc: np.ndarray, blocks: np.ndarray,

@@ -6,11 +6,12 @@ Everything drives `main(argv)` in process; files live in tmp_path.
 """
 
 import csv
+import os
 
 import numpy as np
 import pytest
 
-from lrma_uq import read_cube, read_report_csv
+from lrma_uq import blas, read_cube, read_report_csv
 from lrma_uq.cli import _build_parser, _resolve_threads, main
 
 SMALL_WINDOW = ["--window", "6", "--step", "3", "--rank", "2"]
@@ -217,11 +218,12 @@ class TestThreads:
                         *SMALL_WINDOW)
         assert code == 0 and err == ""
 
-    def test_default_is_one_worker_without_env_var(self, monkeypatch):
-        # Workers only pay off with BLAS held to one thread, so the default
-        # does not follow the core count.
+    def test_default_is_usable_cores_without_env_var(self, monkeypatch):
+        # Workers pay off only with BLAS held to one thread, so the default
+        # follows the usable cores only when numpy's OpenBLAS can be pinned.
         monkeypatch.delenv("LRMA_UQ_THREADS", raising=False)
-        assert _resolve_threads(None) == 1
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert _resolve_threads(None) == (cores if blas._can_pin() else 1)
         monkeypatch.setenv("LRMA_UQ_THREADS", "3")
         assert _resolve_threads(None) == 3
         assert _resolve_threads(2) == 2

@@ -7,6 +7,10 @@ numpy.linalg.svd so the pipeline's window plumbing is checked against an
 implementation that shares no code with it.
 """
 
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from lrma_uq import (
     enumerate_patches,
     godec,
     overlap_ratio,
+    pipeline,
     synth_lowrank_cube,
     truncated_svd,
 )
@@ -169,17 +174,89 @@ class TestDenoise:
 
 class TestThreadDeterminism:
     def test_thread_count_never_changes_output(self):
-        clean = synth_lowrank_cube((14, 13, 6), true_rank=2, seed=13)
-        noisy = add_gaussian(clean, 0.05, seed=13)
-        window = WindowConfig(patch_side=5, step=3, rank=3)
-        outputs = []
-        for threads in (1, 2, 8):
-            cfg = small_config(window=window, sigma0=0.05, threads=threads)
-            den, var = denoise_with_uq(noisy, cfg)
-            outputs.append((den.data, var.data))
-        for den, var in outputs[1:]:
-            np.testing.assert_array_equal(den, outputs[0][0])
-            np.testing.assert_array_equal(var, outputs[0][1])
+        # Both cubes have 4 origin rows: 3 workers do not divide them and 8
+        # outnumber them. The 64-band, window-20 windows are large enough
+        # that an unpinned OpenBLAS would split their products over threads.
+        for dims, true_rank, seed, window in (
+            ((14, 13, 6), 2, 13, WindowConfig(patch_side=5, step=3, rank=3)),
+            ((32, 30, 64), 5, 67, WindowConfig(patch_side=20, step=4, rank=7)),
+        ):
+            clean = synth_lowrank_cube(dims, true_rank=true_rank, seed=seed)
+            noisy = add_gaussian(clean, 0.05, seed=seed)
+            assert enumerate_patches(dims, window).row_origins.size == 4
+            outputs = []
+            for threads in (1, 2, 3, 8):
+                cfg = small_config(window=window, sigma0=0.05, threads=threads)
+                den, var = denoise_with_uq(noisy, cfg)
+                outputs.append((den.data, var.data))
+            for den, var in outputs[1:]:
+                np.testing.assert_array_equal(den, outputs[0][0])
+                np.testing.assert_array_equal(var, outputs[0][1])
+
+
+class _Recorded:
+    """A pool future that notes whether its result was read."""
+
+    def __init__(self, future):
+        self.future, self.read = future, False
+
+    def done(self):
+        return self.future.done()
+
+    def cancel(self):
+        return self.future.cancel()
+
+    def result(self):
+        self.read = True
+        return self.future.result()
+
+
+class _RecordingPool(ThreadPoolExecutor):
+    submitted: list = []
+
+    def submit(self, fn, *args):
+        future = _Recorded(super().submit(fn, *args))
+        self.submitted.append(future)
+        return future
+
+
+class TestRowScheduler:
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    @pytest.mark.parametrize("count", [1, 5, 7])
+    def test_bounded_lookahead_in_order_every_result_read(self, monkeypatch, workers, count):
+        monkeypatch.setattr(_RecordingPool, "submitted", [])
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _RecordingPool)
+        lock = threading.Lock()
+        consumed = 0
+        ahead = []
+
+        def fn(i):
+            with lock:
+                ahead.append(i + 1 - consumed)  # rows started, not consumed
+            time.sleep(0.002 * (1 + i % 3))
+            return i
+
+        out = []
+        for value in pipeline._ordered(fn, count, workers):
+            out.append(value)
+            time.sleep(0.001)
+            with lock:
+                consumed += 1
+        assert out == list(range(count))
+        assert max(ahead) <= workers
+        assert all(f.read for f in _RecordingPool.submitted)
+        assert bool(_RecordingPool.submitted) == (count > 1)
+
+    @pytest.mark.parametrize("bad", [0, 3])
+    def test_worker_exception_reaches_the_consumer(self, bad):
+        def fn(i):
+            if i == bad:
+                raise RuntimeError(f"row {i}")
+            time.sleep(0.002)
+            return i
+
+        with pytest.raises(RuntimeError, match=f"row {bad}"):
+            list(pipeline._ordered(fn, 6, 2))
 
 
 class TestDenoiseWithUq:
