@@ -83,7 +83,7 @@ def hadamard_divide(num: HsiCube, den: HsiCube) -> HsiCube:
     """
     if num.dims != den.dims:
         raise ValueError(f"dimension mismatch: {num.dims} vs {den.dims}")
-    if np.any(den.data <= 0.0):
+    if den.data.min() <= 0.0:
         bad = int(np.count_nonzero(den.data <= 0.0))
         raise ValueError(
             f"denominator has {bad} non-positive entries (voxels covered by no patch)"

@@ -52,7 +52,7 @@ def write_cube(cube: HsiCube, path: str, dtype: str = "f64") -> None:
     payload = np.ascontiguousarray(np.moveaxis(cube.data, 2, 0), dtype=_DTYPES[dtype])
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(payload.tobytes())
+        fh.write(memoryview(payload).cast("B"))
 
 
 def read_cube(path: str) -> HsiCube:
@@ -81,16 +81,16 @@ def read_cube(path: str) -> HsiCube:
                 f"layout/endianness must be 'BSQ LE', got {fields[5]!r} {fields[6]!r}"
             )
         dt = _DTYPES[fields[4]]
-        expected = m * n * p * dt.itemsize
-        payload = fh.read(expected)
-        if len(payload) < expected:
+        data = np.empty((p, m, n), dtype=dt)
+        got = fh.readinto(memoryview(data).cast("B"))
+        if got < data.nbytes:
             raise TruncatedPayloadError(
-                f"truncated payload: expected {expected} bytes, got {len(payload)}"
+                f"truncated payload: expected {data.nbytes} bytes, got {got}"
             )
         if fh.read(1):
             raise ContainerError("trailing bytes after payload")
-    data = np.frombuffer(payload, dtype=dt).reshape(p, m, n)
-    return HsiCube(np.moveaxis(data, 0, 2), copy=True)
+    # The cube is a band-sequential view of the payload; f32 widens to f64.
+    return HsiCube(np.moveaxis(data, 0, 2), copy=dt != np.float64)
 
 
 def _fmt(value) -> str:

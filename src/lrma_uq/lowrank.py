@@ -98,7 +98,8 @@ def truncated_svd_batch(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.nda
     near = vec[:, :, ::-1][:, :, :rank]
     refit = (lam[:, 0] <= 0) | (lam[:, -1] < _GRAM_FLOOR * lam[:, 0])
     s = np.sqrt(np.where(refit[:, None], 1.0, lam))
-    far = (a @ near) / s[:, None, :]
+    far = a @ near
+    far /= s[:, None, :]
     u, v = (near, far) if wide else (far, near)
     for i in np.flatnonzero(refit):
         ui, si, vti = np.linalg.svd(mats[i], full_matrices=False)

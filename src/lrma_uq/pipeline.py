@@ -68,28 +68,28 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
     Writes the row and column leverages of the fit factors into the
     (windows, J*J) `row_lev` and (windows, P) `col_lev` when given. Returns
     the (windows, J, J, P) approximations and the count of windows that hit
-    the GoDec iteration cap.
+    the GoDec iteration cap. The row is gathered once, and each window's
+    approximation overwrites its gathered matrix.
     """
     w = cfg.window
     n, jside, p = col_origins.size, w.patch_side, windows.shape[1]
-    mats = np.moveaxis(windows[col_origins], 1, 3).reshape(n, jside * jside, p)
+    mats = np.moveaxis(windows, 1, 3)[col_origins].reshape(n, jside * jside, p)
     k = w.sparse_count(jside * jside * p)
     stalled = 0
     if cfg.solver == "tsvd" or k == 0:
         u, s, v = truncated_svd_batch(mats, w.rank)
-        approx = (u * s[:, None, :]) @ np.swapaxes(v, 1, 2)
+        np.matmul(u * s[:, None, :], np.swapaxes(v, 1, 2), out=mats)
     else:
-        approx = np.empty_like(mats)
         u = np.empty((n, jside * jside, w.rank))
         v = np.empty((n, p, w.rank))
         for i, m in enumerate(mats):
             fit = godec(m, w.rank, k, max_iter=cfg.max_iter, tol=cfg.tol)
-            approx[i], u[i], v[i] = fit.low_rank, fit.factors.u, fit.factors.v
+            m[...], u[i], v[i] = fit.low_rank, fit.factors.u, fit.factors.v
             stalled += not fit.converged
     if row_lev is not None:
         np.einsum("nur,nur->nu", u, u, out=row_lev)
         np.einsum("nvr,nvr->nv", v, v, out=col_lev)
-    return approx.reshape(n, jside, jside, p), stalled
+    return mats.reshape(n, jside, jside, p), stalled
 
 
 def _ordered(fn, count: int, workers: int):
@@ -153,9 +153,14 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     acc = np.zeros(cube.dims, dtype=np.float64)
     stalled = 0
     with blas._one_thread():
-        for i, (approx, capped) in enumerate(_ordered(fit, ro.size, cfg.threads)):
+        rows = _ordered(fit, ro.size, cfg.threads)
+        for i in range(ro.size):
+            # next() rather than enumerate(), whose reused result tuple
+            # would keep the previous row alive while the next is fitted.
+            approx, capped = next(rows)
             _scatter_blocks(acc, approx[None], ro[i:i + 1], co)
             stalled += capped
+            del approx
     if stalled:
         _log.warning("%d of %d patches hit the iteration cap before converging",
                      stalled, len(grid))

@@ -287,7 +287,8 @@ def split_variance(
     spatial_var = (s2 * row_lev).reshape(ro.size, co.size, jside, jside, 1)
     spatial = np.zeros((m, n, 1), dtype=np.float64)
     _scatter_blocks(spatial, spatial_var, ro, co)
-    _add_cross_terms(spatial, np.sqrt(spatial_var), grid)
+    _add_cross_terms(spatial, np.sqrt(spatial_var, out=spatial_var), grid)
+    del spatial_var  # free the window stack before the cube-sized sum below
     roots = np.sqrt(s2 * col_lev).reshape(ro.size, co.size * p)
     by_row = (_cover_indicator(m, ro, jside) @ roots).reshape(m, co.size, p)
     out = np.matmul(_cover_indicator(n, co, jside), by_row)

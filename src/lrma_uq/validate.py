@@ -8,7 +8,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .cube import HsiCube
 from .noise import NoiseSpec, apply_noise
@@ -99,14 +98,30 @@ def coverage_rate(samples: np.ndarray, sigma_hat: HsiCube) -> tuple[HsiCube, flo
         raise ValueError(
             f"sample dims {samples.shape[1:]} do not match sigma_hat dims {sigma_hat.dims}"
         )
-    center = samples.mean(axis=0)
-    covered = np.abs(samples - center) <= Z95 * sigma_hat.data
-    per_voxel = covered.mean(axis=0)
+    per_voxel = _covered_fraction(samples, samples.mean(axis=0), sigma_hat.data)
     return (
         HsiCube(per_voxel, copy=False),
         float(per_voxel.mean()),
         float(per_voxel.std()),
     )
+
+
+def _covered_fraction(samples: np.ndarray, center: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per-voxel fraction of trials l with |samples[l] - center| <= Z95 * sigma.
+
+    sigma is one (M, N, P) std for every trial, or a (trials, M, N, P)
+    stack with one per trial. Trials are counted one at a time, so no
+    temporary the size of the sample stack is made.
+    """
+    per_trial = sigma.ndim == 4
+    limit = None if per_trial else Z95 * sigma
+    count = np.zeros(center.shape)
+    dev = np.empty_like(center)
+    for l, sample in enumerate(samples):
+        np.abs(np.subtract(sample, center, out=dev), out=dev)
+        count += dev <= (Z95 * sigma[l] if per_trial else limit)
+    count /= samples.shape[0]
+    return count
 
 
 def monte_carlo(
@@ -154,9 +169,7 @@ def monte_carlo(
         seconds.append(time.perf_counter() - t0)
 
     center = stack.mean(axis=0)
-    band = sigma_stack if per_trial else sigma_ref
-    covered = np.abs(stack - center) <= Z95 * band
-    per_voxel = covered.mean(axis=0)
+    per_voxel = _covered_fraction(stack, center, sigma_stack if per_trial else sigma_ref)
 
     return McReport(
         trials=trials,
@@ -191,8 +204,10 @@ def qq_data(samples: np.ndarray) -> np.ndarray:
     xs = np.sort(x)
     if xs[0] == xs[-1]:
         raise ValueError("sample has zero variance")
+    from scipy.stats import norm  # imported here: no denoising path needs scipy
+
     pos = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
-    theo = _scipy_stats.norm.ppf(pos)
+    theo = norm.ppf(pos)
     slope, intercept = np.polyfit(theo, xs, 1)
     emp = (xs - intercept) / slope
     return np.column_stack([theo, emp])
@@ -210,7 +225,9 @@ def shapiro_wilk(samples: np.ndarray) -> NormalityReport:
         raise ValueError(f"sample size must be in [3, 5000], got {n}")
     if x.min() == x.max():
         raise ValueError("sample has zero variance")
-    w, p = _scipy_stats.shapiro(x)
+    from scipy.stats import shapiro  # imported here: no denoising path needs scipy
+
+    w, p = shapiro(x)
     return NormalityReport(
         sw_statistic=float(w), p_value=float(p), n=n, qq_pairs=qq_data(x)
     )

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .cube import HsiCube, VoxelIndex, hadamard_divide
 
@@ -80,7 +79,8 @@ class PatchGrid:
 
     origins are lexicographically sorted (row, col) pairs forming the full
     cross product of per-axis origin lists; coverage holds, for every voxel,
-    the number of windows whose footprint contains it (>= 1 everywhere).
+    the number of windows whose footprint contains it (>= 1 everywhere), as
+    a read-only view that repeats one M x N plane over the bands.
     """
 
     dims: tuple[int, int, int]
@@ -121,8 +121,9 @@ def enumerate_patches(dims: tuple[int, int, int], config: WindowConfig) -> Patch
     col_counts = np.zeros(n, dtype=np.float64)
     for c in col_origins:
         col_counts[c:c + j] += 1.0
+    # Every band shares the plane: a read-only view with band stride 0.
     plane = np.outer(row_counts, col_counts)
-    coverage = HsiCube(np.repeat(plane[:, :, None], p, axis=2), copy=False)
+    coverage = HsiCube(np.broadcast_to(plane[:, :, None], (m, n, p)), copy=False)
 
     return PatchGrid(
         dims=dims,
@@ -187,14 +188,16 @@ def _scatter_blocks(acc: np.ndarray, blocks: np.ndarray,
     When starts are uniformly spaced, each axis is thinned to every g-th
     start (g = ceil(block extent / spacing)) so the strided destination
     views are disjoint and a single in-place add per thinned group is safe.
-    Non-uniform spacings fall back to a per-block loop.
+    The views are built straight on acc's buffer, so acc must be
+    C-contiguous for them; non-uniform spacings and any other acc fall back
+    to a per-block loop.
     """
     ni, nj, h, w, _ = blocks.shape
     sr = _uniform_step(row_starts)
     sc = _uniform_step(col_starts)
     gr = 1 if ni == 1 else (None if sr is None else -(-h // sr))
     gc = 1 if nj == 1 else (None if sc is None else -(-w // sc))
-    if gr is None or gc is None:
+    if gr is None or gc is None or not acc.flags.c_contiguous:
         for i in range(ni):
             r = int(row_starts[i])
             for j in range(nj):
@@ -207,9 +210,9 @@ def _scatter_blocks(acc: np.ndarray, blocks: np.ndarray,
         for oj in range(min(gc, nj)):
             csub = col_starts[oj::gc]
             sub = blocks[oi::gr, oj::gc]
-            view = as_strided(
-                acc[int(rsub[0]):, int(csub[0]):, :],
-                shape=sub.shape,
+            view = np.ndarray(
+                sub.shape, acc.dtype, buffer=acc,
+                offset=int(rsub[0]) * es0 + int(csub[0]) * es1,
                 strides=(
                     (sr * gr * es0) if sub.shape[0] > 1 else 0,
                     (sc * gc * es1) if sub.shape[1] > 1 else 0,

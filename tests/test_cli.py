@@ -7,10 +7,13 @@ Everything drives `main(argv)` in process; files live in tmp_path.
 
 import csv
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lrma_uq
 from lrma_uq import blas, read_cube, read_report_csv
 from lrma_uq.cli import _build_parser, _resolve_threads, main
 
@@ -235,3 +238,50 @@ class TestThreads:
             code, err = run(capsys, "denoise", "--in", str(clean), "--out", "o.hsic",
                             *SMALL_WINDOW)
             assert code == 2 and "LRMA_UQ_THREADS" in err
+
+
+# Run in a fresh interpreter: this test process has long imported scipy.
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import lrma_uq, lrma_uq.cli
+from lrma_uq import HsiCube, qq_data, write_cube
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+noisy, out, var = sys.argv[1:4]
+write_cube(HsiCube(np.random.default_rng(0).uniform(size=(10, 10, 4))), noisy)
+code = lrma_uq.cli.main(["denoise", "--in", noisy, "--out", out, "--variance-out", var,
+                         "--window", "6", "--step", "2", "--rank", "2", "--sigma0", "0.05"])
+print(code, loaded())
+pairs = qq_data(np.array([0.3, -1.2, 2.5, 0.0, 1.1, -0.4, 0.9]))
+print("scipy" in sys.modules, [[float(x).hex() for x in row] for row in pairs])
+"""
+
+# qq_data's pairs for the probe's sample, as scipy.stats.norm.ppf gives them.
+_QQ_PAIRS = [
+    ["-0x1.5d4f227526cb6p+0", "-0x1.4e27996019dddp+0"],
+    ["-0x1.843eec0a27884p-1", "-0x1.59ad60df0046ap-1"],
+    ["-0x1.696786e03f833p-2", "-0x1.70b8efdccd183p-2"],
+    ["0x0.0p+0", "-0x1.fafe49cf9a01ap-4"],
+    ["0x1.696786e03f836p-2", "0x1.6533285de6af3p-2"],
+    ["0x1.843eec0a27884p-1", "0x1.034208a74034ep-1"],
+    ["0x1.5d4f227526cb7p+0", "0x1.9bee9bf8ad20dp+0"],
+]
+
+
+class TestImports:
+    def test_denoising_never_imports_scipy(self, tmp_path):
+        # scipy serves only the normality checks (validate qq|sw); importing
+        # it costs more than a small denoise. qq_data loads it on demand and
+        # keeps scipy's quantiles, so the Q-Q CSV bytes do not change.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(lrma_uq.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        files = [str(tmp_path / name) for name in ("in.hsic", "out.hsic", "var.hsic")]
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *files], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        denoised, quantiles = proc.stdout.splitlines()
+        assert denoised == "0 []"
+        assert quantiles == f"True {_QQ_PAIRS}"

@@ -3,6 +3,8 @@ round trips, every malformed-file error) and the CSV report writers
 (schemas, exact float round trips, byte determinism).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,31 @@ class TestCubeContainer:
         path.write_bytes(b"HSIC1 2 2 1 f64 BSQ LE\n" + b"\x00" * 33)
         with pytest.raises(ContainerError, match="trailing"):
             read_cube(str(path))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, as tracemalloc sees them (numpy
+    reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestContainerMemory:
+    # The band-sequential payload is one cube. Writing makes that one
+    # transposed copy, and reading fills the returned cube straight from the
+    # file, plus the cube's one-byte-per-entry finiteness mask (1/8 cube).
+    # Neither holds the payload twice: both peaked at about 2 cubes when it
+    # also went through a bytes object.
+    def test_write_and_read_hold_one_cube(self, tmp_path):
+        cube = random_cube((48, 40, 24), seed=3)
+        path = str(tmp_path / "big.hsic")
+        assert traced_peak(lambda: write_cube(cube, path)) <= 1.1 * cube.data.nbytes
+        assert traced_peak(lambda: read_cube(path)) <= 1.15 * cube.data.nbytes
+        assert read_cube(path).data.tobytes() == cube.data.tobytes()
 
 
 def tiny_cube() -> HsiCube:

@@ -9,6 +9,7 @@ implementation that shares no code with it.
 
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -372,3 +373,41 @@ class TestDenoiseWithUq:
             for mode in ("overlap", "independent")
         ]
         np.testing.assert_allclose(cubes[0], cubes[1], rtol=1e-14, atol=1e-15)
+
+
+class TestMemory:
+    """Peak allocations of one call, in cubes of the input's size.
+
+    tracemalloc sees numpy's buffers. On a 96x96x32 cube (window 20, step
+    4, rank 7, TSVD, one worker) one origin row of 20 windows is 0.87
+    cubes. Plain denoising needs the accumulator, one fitted row and the
+    output; with the variance it also needs the grid's leverages and the
+    variance cube. The bounds sit about half a cube above what that costs
+    (2.55 and 3.13 cubes); a P-fold coverage cube or a second copy of each
+    row, as before, peaked at 5.0 and 5.6.
+    """
+
+    @staticmethod
+    def peak_cubes(fn, cube: HsiCube) -> float:
+        fn()  # warm-up, so lazy state is not counted
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / cube.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        cube = add_gaussian(synth_lowrank_cube((96, 96, 32), true_rank=7, seed=1), 0.05, seed=2)
+        cfg = PipelineConfig(window=WindowConfig(patch_side=20, step=4, rank=7),
+                             sigma0=0.05, solver="tsvd", threads=1)
+        return cube, cfg
+
+    def test_denoise_peak(self, scene):
+        cube, cfg = scene
+        assert self.peak_cubes(lambda: denoise(cube, cfg), cube) <= 3.0
+
+    def test_denoise_with_uq_peak(self, scene):
+        cube, cfg = scene
+        assert self.peak_cubes(lambda: denoise_with_uq(cube, cfg), cube) <= 3.6

@@ -19,6 +19,7 @@ from lrma_uq import (
     apply_noise,
     coverage_rate,
     denoise,
+    denoise_with_uq,
     impulse_sweep,
     monte_carlo,
     qq_data,
@@ -150,6 +151,27 @@ class TestMonteCarlo:
         assert 0.0 <= report.mean_coverage <= 1.0
         # The attached reference std is still trial 0's closed form.
         assert report.sigma_hat.dims == DIMS
+
+    def test_trial0_coverage_is_coverage_rate_of_its_samples(self):
+        # One counting path: the report's coverage is coverage_rate of the
+        # kept samples against trial 0's std, bit for bit.
+        clean, noise, cfg = mc_setup()
+        report = monte_carlo(clean, noise, cfg, trials=6, base_seed=4, keep_samples=True)
+        cov, mean_c, std_c = coverage_rate(report.samples, report.sigma_hat)
+        assert cov.data.tobytes() == report.coverage.data.tobytes()
+        assert (mean_c, std_c) == (report.mean_coverage, report.std_coverage)
+
+    def test_per_trial_coverage_matches_whole_stack_oracle(self):
+        clean, noise, cfg = mc_setup()
+        report = monte_carlo(clean, noise, cfg, trials=4, base_seed=2,
+                             sigma_mode="per_trial", keep_samples=True)
+        stds = np.stack([
+            np.sqrt(denoise_with_uq(apply_noise(clean, noise, seed=2 + l), cfg)[1].data)
+            for l in range(4)
+        ])
+        samples = report.samples
+        covered = np.abs(samples - samples.mean(axis=0)) <= Z95 * stds
+        assert report.coverage.data.tobytes() == covered.mean(axis=0).tobytes()
 
     def test_report_metadata(self):
         clean, noise, cfg = mc_setup()

@@ -15,6 +15,7 @@ from lrma_uq import (
     patch_to_matrix,
     voxel_to_matrix_index,
 )
+from lrma_uq.windows import _scatter_blocks
 
 
 def brute_force_coverage(dims, origins, patch_side):
@@ -91,6 +92,17 @@ class TestEnumeratePatches:
         grid = enumerate_patches(dims, WindowConfig(patch_side=4, step=3, rank=1))
         oracle = brute_force_coverage(dims, grid.origins, 4)
         np.testing.assert_array_equal(grid.coverage.data, oracle)
+
+    def test_coverage_is_one_plane_repeated_over_bands(self):
+        # The bands share one M x N plane: band stride 0, read-only, no
+        # P-fold copy, and still the brute-force counts everywhere.
+        dims = (13, 9, 5)
+        grid = enumerate_patches(dims, WindowConfig(patch_side=4, step=3, rank=1))
+        data = grid.coverage.data
+        assert data.shape == dims
+        assert data.strides[2] == 0
+        assert not data.flags.writeable
+        np.testing.assert_array_equal(data, brute_force_coverage(dims, grid.origins, 4))
 
     def test_window_larger_than_image_rejected(self):
         with pytest.raises(ValueError, match="patch_side"):
@@ -190,6 +202,30 @@ class TestVoxelToMatrixIndex:
                 for band in range(3):
                     u, v = voxel_to_matrix_index(VoxelIndex(row, col, band), origin, 3)
                     assert mat[u, v] == cube.data[row, col, band]
+
+
+class TestScatterBlocks:
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_matches_per_block_loop(self, layout):
+        # The grouped views are built on acc's buffer; any acc that is not
+        # C-contiguous takes the per-block loop. Either way every block
+        # lands in place.
+        rng = np.random.default_rng(4)
+        dims, side = (14, 17, 3), 5
+        rows, cols = np.array([0, 3, 6, 9]), np.array([0, 4, 8, 12])
+        blocks = rng.normal(size=(rows.size, cols.size, side, side, dims[2]))
+        oracle = np.zeros(dims)
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                oracle[r:r + side, c:c + side] += blocks[i, j]
+        if layout == "c":
+            acc = np.zeros(dims)
+        elif layout == "fortran":
+            acc = np.zeros(dims, order="F")
+        else:
+            acc = np.zeros(dims[:2] + (2 * dims[2],))[:, :, ::2]
+        _scatter_blocks(acc, blocks, rows, cols)
+        np.testing.assert_allclose(acc, oracle, rtol=0, atol=1e-12)
 
 
 class TestAggregateMean:
