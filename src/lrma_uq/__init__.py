@@ -25,15 +25,7 @@ from .lowrank import (
 )
 from .noise import NoiseSpec, add_gaussian, add_impulse, apply_noise, synth_lowrank_cube
 from .pipeline import PipelineConfig, denoise, denoise_with_uq
-from .uncertainty import (
-    CorrelationRule,
-    LeverageMap,
-    aggregate_variance,
-    leverage_map,
-    overlap_ratio,
-    patch_variance,
-    split_variance,
-)
+from .uncertainty import CorrelationRule, aggregate_variance, overlap_ratio, split_variance
 from .validate import (
     ImpulseSweepReport,
     McReport,
@@ -54,9 +46,7 @@ from .windows import (
     WindowConfig,
     aggregate_mean,
     enumerate_patches,
-    matrix_to_patch,
     patch_to_matrix,
-    voxel_to_matrix_index,
 )
 
 __version__ = "0.1.0"
@@ -80,8 +70,6 @@ __all__ = [
     "PatchGrid",
     "enumerate_patches",
     "patch_to_matrix",
-    "matrix_to_patch",
-    "voxel_to_matrix_index",
     "aggregate_mean",
     "LowRankFactors",
     "GodecResult",
@@ -90,10 +78,7 @@ __all__ = [
     "godec",
     "procrustes_rectify",
     "factor_error_samples",
-    "LeverageMap",
     "CorrelationRule",
-    "leverage_map",
-    "patch_variance",
     "overlap_ratio",
     "aggregate_variance",
     "split_variance",

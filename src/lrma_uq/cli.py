@@ -20,7 +20,6 @@ from . import blas
 from .io import read_cube, write_cube, write_qq_csv, write_report_csv
 from .noise import NoiseSpec, apply_noise, synth_lowrank_cube
 from .pipeline import PipelineConfig, denoise, denoise_with_uq
-from .uncertainty import CorrelationRule
 from .validate import (
     impulse_sweep,
     monte_carlo,
@@ -143,14 +142,6 @@ def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -
                         help="sparse budget: 0 disables, <1 is a fraction of "
                              "patch entries, >=1 an absolute count")
     parser.add_argument("--solver", choices=("godec", "tsvd"), default="godec")
-    parser.add_argument("--correlation", choices=("overlap", "independent", "full"),
-                        default="overlap",
-                        help="window-pair correlation model for variance aggregation: "
-                             "overlap correlates the spatial (row-leverage) error by "
-                             "the shared-footprint fraction and the spectral "
-                             "(column-leverage) error fully; independent and full "
-                             "apply 0 and 1 to the whole window std (lower and "
-                             "upper bounds)")
     parser.add_argument("--threads", type=_int_at_least(1), default=None,
                         help="worker threads, each fitting one origin row of windows "
                              "at a time with BLAS held at one thread (default: "
@@ -169,7 +160,6 @@ def _pipeline_config(args: argparse.Namespace, sigma0: float, rank: int | None =
     return PipelineConfig(
         window=window,
         sigma0=sigma0,
-        correlation=CorrelationRule(args.correlation),
         solver=args.solver,
         threads=_resolve_threads(args.threads),
     )

@@ -15,13 +15,6 @@ import csv
 import numpy as np
 
 from .cube import HsiCube
-from .validate import (
-    ImpulseSweepReport,
-    McReport,
-    NormalityReport,
-    RankSweepReport,
-    TimingReport,
-)
 
 _MAGIC = "HSIC1"
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
@@ -109,45 +102,11 @@ def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def write_report_csv(report, path: str) -> None:
-    """Write a report as UTF-8 CSV with a fixed header per report type.
-
-    Column orders:
-      McReport           sigma0,impulse_ratio,T,mean_coverage,std_coverage
-      NormalityReport    n,sw_statistic,p_value
-      RankSweepReport    rank,mean_coverage
-      ImpulseSweepReport sigma0,impulse_ratio,mean_coverage,std_coverage
-      TimingReport       mc_trials,mc_total_s,lrma_only_s,lrma_plus_uq_s
-    """
-    if isinstance(report, McReport):
-        _write_rows(
-            path,
-            ["sigma0", "impulse_ratio", "T", "mean_coverage", "std_coverage"],
-            [[report.sigma0, report.impulse_ratio, report.trials,
-              report.mean_coverage, report.std_coverage]],
-        )
-    elif isinstance(report, NormalityReport):
-        _write_rows(
-            path,
-            ["n", "sw_statistic", "p_value"],
-            [[report.n, report.sw_statistic, report.p_value]],
-        )
-    elif isinstance(report, RankSweepReport):
-        _write_rows(path, ["rank", "mean_coverage"], [list(r) for r in report.rows])
-    elif isinstance(report, ImpulseSweepReport):
-        _write_rows(
-            path,
-            ["sigma0", "impulse_ratio", "mean_coverage", "std_coverage"],
-            [list(r) for r in report.rows],
-        )
-    elif isinstance(report, TimingReport):
-        _write_rows(
-            path,
-            ["mc_trials", "mc_total_s", "lrma_only_s", "lrma_plus_uq_s"],
-            [[report.mc_trials, report.mc_total_s,
-              report.lrma_only_s, report.lrma_plus_uq_s]],
-        )
-    else:
+    """Write a report as UTF-8 CSV: the header and rows its `csv_table()`
+    returns. Each report type of `validate` defines its own columns."""
+    if not hasattr(report, "csv_table"):
         raise TypeError(f"no CSV schema for report type {type(report).__name__}")
+    _write_rows(path, *report.csv_table())
 
 
 def write_qq_csv(pairs: np.ndarray, path: str) -> None:

@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import blas
 from .cube import HsiCube, hadamard_divide
 from .lowrank import godec, truncated_svd_batch
-from .uncertainty import CorrelationRule, aggregate_variance, split_variance
+from .uncertainty import split_variance
 from .windows import WindowConfig, _scatter_blocks, enumerate_patches
 
 _log = logging.getLogger(__name__)
@@ -38,7 +38,6 @@ class PipelineConfig:
 
     window: WindowConfig = WindowConfig()
     sigma0: float = 0.0
-    correlation: CorrelationRule = CorrelationRule()
     solver: str = "godec"
     max_iter: int = 100
     tol: float = 1e-7
@@ -182,18 +181,11 @@ def denoise_with_uq(cube: HsiCube, cfg: PipelineConfig) -> tuple[HsiCube, HsiCub
     work over `denoise` is the leverage arithmetic and one variance
     aggregation pass; no further matrix decompositions are run.
 
-    In the default `overlap` mode the window error is split by leverage:
-    the spatial (row-leverage) part is correlated between windows by their
-    shared-footprint fraction, the spectral (column-leverage) part is fully
-    correlated (`split_variance`). `independent` and `full` apply 0 and 1 to
-    the whole per-window std sigma0 * sqrt(row + column leverage) and bound
-    the split from below and above.
+    The window error is always split by leverage (`split_variance`): the
+    spatial (row-leverage) part is correlated between windows by their
+    shared-footprint fraction, the spectral (column-leverage) part fully.
+    No correlation rule applies to the whole per-window std here; that
+    model lives only in `aggregate_variance`.
     """
     grid, mean, row_lev, col_lev = _fit_windows(cube, cfg, leverage=True)
-    if cfg.correlation.mode == "overlap":
-        return mean, split_variance(row_lev, col_lev, grid, cfg.sigma0)
-    jside = cfg.window.patch_side
-    var_mats = row_lev[:, :, None] + col_lev[:, None, :]
-    var_mats *= cfg.sigma0 * cfg.sigma0
-    var_patches = var_mats.reshape(len(grid), jside, jside, cube.bands)
-    return mean, aggregate_variance(var_patches, grid, cfg.correlation, copy=False)
+    return mean, split_variance(row_lev, col_lev, grid, cfg.sigma0)

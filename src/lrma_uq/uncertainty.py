@@ -1,40 +1,22 @@
-"""Closed-form uncertainty of low-rank fits: per-entry variance from factor
-leverage scores, a correlation model for overlapping windows, and the
-aggregation of per-patch variances into a per-voxel variance cube."""
+"""Closed-form uncertainty of sliding-window low-rank fits: the per-voxel
+variance of the window average under the leverage-split model
+(`split_variance`, the one route `denoise_with_uq` takes), the
+shared-footprint correlation of two windows, and the aggregation of
+per-patch variances under a whole-patch correlation rule."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .cube import HsiCube
-from .lowrank import LowRankFactors
-from .windows import PatchGrid, _scatter_blocks, matrix_to_patch
+from .windows import PatchGrid, _scatter_blocks
 
 Origin = tuple[int, int]
 
 _MODES = ("overlap", "independent", "full")
-
-
-@dataclass(frozen=True)
-class LeverageMap:
-    """Squared row norms of the orthonormal factors of a rank-r matrix fit.
-
-    row_lev[u] + col_lev[v] scales the noise variance into the variance of
-    the fitted entry (u, v); each vector is non-negative and sums to the
-    fit rank.
-    """
-
-    row_lev: np.ndarray
-    col_lev: np.ndarray
-
-    def variance_matrix(self, sigma0: float) -> np.ndarray:
-        """Per-entry variance sigma0^2 * (row_lev[u] + col_lev[v])."""
-        if sigma0 < 0:
-            raise ValueError(f"sigma0 must be >= 0, got {sigma0}")
-        return (sigma0 * sigma0) * (self.row_lev[:, None] + self.col_lev[None, :])
 
 
 @dataclass(frozen=True)
@@ -46,11 +28,12 @@ class CorrelationRule:
     full        -- one for every window pair (upper aggregation bound)
     A window is always perfectly correlated with itself, in every mode.
 
-    `correlation` and `aggregate_variance` apply the value to the whole
-    per-window std. The pipeline, which has each window's leverage scores,
-    uses the overlap value for the spatial (row-leverage) part of the error
-    only and treats the spectral (column-leverage) part as fully correlated;
-    see `split_variance`. That split lies between the two bounds.
+    The rule correlates whole-patch stds: `correlation` and
+    `aggregate_variance` apply its value to the whole per-window std. The
+    pipeline does not use it. It always takes the leverage split
+    (`split_variance`), which correlates the spatial (row-leverage) part of
+    the error by the overlap value and the spectral (column-leverage) part
+    fully, and which lies between the independent and full bounds.
     """
 
     mode: str = "overlap"
@@ -69,14 +52,6 @@ class CorrelationRule:
         return overlap_ratio(origin_p, origin_q, patch_side)
 
 
-def leverage_map(factors: LowRankFactors) -> LeverageMap:
-    """Leverage scores of the row and column spaces of a factorization."""
-    return LeverageMap(
-        row_lev=np.einsum("ur,ur->u", factors.u, factors.u),
-        col_lev=np.einsum("vr,vr->v", factors.v, factors.v),
-    )
-
-
 def overlap_ratio(origin_p: Origin, origin_q: Origin, patch_side: int) -> float:
     """Fraction of patch-matrix entries shared by two same-sized windows.
 
@@ -91,16 +66,6 @@ def overlap_ratio(origin_p: Origin, origin_q: Origin, patch_side: int) -> float:
     if dr >= patch_side or dc >= patch_side:
         return 0.0
     return ((patch_side - dr) * (patch_side - dc)) / float(patch_side * patch_side)
-
-
-def patch_variance(lev: LeverageMap, sigma0: float, patch_side: int, bands: int) -> np.ndarray:
-    """Per-voxel variance of a denoised patch, in patch (3-D) layout."""
-    k, l = lev.row_lev.size, lev.col_lev.size
-    if k != patch_side * patch_side or l != bands:
-        raise ValueError(
-            f"leverage sizes ({k}, {l}) do not match patch ({patch_side ** 2}, {bands})"
-        )
-    return matrix_to_patch(lev.variance_matrix(sigma0), patch_side, bands)
 
 
 def _runs(vals: np.ndarray) -> Iterable[tuple[int, int, int]]:
@@ -170,70 +135,32 @@ def _add_cross_terms(num: np.ndarray, stds: np.ndarray, grid: PatchGrid) -> None
 
 
 def aggregate_variance(
-    patch_vars: Iterable[tuple[Origin, np.ndarray]] | np.ndarray,
-    grid: PatchGrid,
-    rule: CorrelationRule = CorrelationRule(),
-    copy: bool = True,
+    patch_vars: np.ndarray, grid: PatchGrid, rule: CorrelationRule = CorrelationRule()
 ) -> HsiCube:
     """Combine per-patch variances into the variance of the averaged cube.
 
     Each voxel's output is the mean of the covering windows' estimates, so
     its variance is (1/phi^2) * [sum of per-window variances + 2 * sum over
     unordered window pairs of corr * sigma_p * sigma_q], phi being the
-    cover count; the pair correlation is set by `rule`. One variance patch
-    per grid origin is required; entries must be non-negative.
+    cover count. The pair correlation is set by `rule` and applies to the
+    whole per-patch std sigma_p. The pipeline never calls this: it always
+    takes the leverage split (`split_variance`).
 
-    patch_vars may also be a single (len(grid.origins), J, J, P) array
-    holding the patches in grid.origins order, which skips the per-patch
-    ingest loop. With copy=False such an array may be consumed as working
-    storage and holds garbage afterwards.
+    patch_vars is a (len(grid.origins), J, J, P) array of non-negative
+    variance patches in grid.origins order. It is copied, never modified.
     """
     jside = grid.config.patch_side
     m, n, p = grid.dims
     ro, co = grid.row_origins, grid.col_origins
-    if isinstance(patch_vars, np.ndarray):
-        expected = (ro.size * co.size, jside, jside, p)
-        if patch_vars.shape != expected:
-            raise ValueError(
-                f"variance patch array shape {patch_vars.shape} does not "
-                f"match {expected}"
-            )
-        stack = patch_vars.astype(np.float64, copy=False)
-        if copy and stack is patch_vars:
-            stack = stack.copy()
-        stack = stack.reshape(ro.size, co.size, jside, jside, p)
-        return _aggregate_stack(stack, grid, rule)
-    ri = {int(v): k for k, v in enumerate(ro)}
-    ci = {int(v): k for k, v in enumerate(co)}
-    stack = np.empty((ro.size, co.size, jside, jside, p), dtype=np.float64)
-    seen = np.zeros((ro.size, co.size), dtype=bool)
-    for origin, var_patch in patch_vars:
-        r, c = int(origin[0]), int(origin[1])
-        if r not in ri or c not in ci:
-            raise ValueError(f"origin {(r, c)} is not in the grid")
-        i, j = ri[r], ci[c]
-        if seen[i, j]:
-            raise ValueError(f"duplicate variance patch for origin {(r, c)}")
-        var_patch = np.asarray(var_patch, dtype=np.float64)
-        if var_patch.shape != (jside, jside, p):
-            raise ValueError(
-                f"variance patch shape {var_patch.shape} does not match "
-                f"({jside}, {jside}, {p})"
-            )
-        stack[i, j] = var_patch
-        seen[i, j] = True
-    if not seen.all():
-        missing = [(int(ro[i]), int(co[j])) for i, j in zip(*np.nonzero(~seen))]
-        raise ValueError(f"missing variance patch for origins {missing[:5]}")
-    return _aggregate_stack(stack, grid, rule)
-
-
-def _aggregate_stack(stack: np.ndarray, grid: PatchGrid, rule: CorrelationRule) -> HsiCube:
-    """Reduce the (rows, cols, J, J, P) variance stack; consumes `stack`."""
+    stack = np.array(patch_vars, dtype=np.float64)  # consumed as scratch below
+    expected = (ro.size * co.size, jside, jside, p)
+    if stack.shape != expected:
+        raise ValueError(
+            f"variance patch array shape {stack.shape} does not match {expected}"
+        )
     if stack.min() < 0:
         raise ValueError("negative input variance")
-    m, n, p = grid.dims
-    ro, co = grid.row_origins, grid.col_origins
+    stack = stack.reshape(ro.size, co.size, jside, jside, p)
     num = np.zeros((m, n, p), dtype=np.float64)
     if rule.mode == "full":
         np.sqrt(stack, out=stack)

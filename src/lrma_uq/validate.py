@@ -42,6 +42,12 @@ class McReport:
     samples: np.ndarray | None = None
     sigma_hat: HsiCube | None = None
 
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of the report CSV."""
+        return (["sigma0", "impulse_ratio", "T", "mean_coverage", "std_coverage"],
+                [[self.sigma0, self.impulse_ratio, self.trials,
+                  self.mean_coverage, self.std_coverage]])
+
 
 @dataclass
 class NormalityReport:
@@ -51,6 +57,10 @@ class NormalityReport:
     p_value: float
     n: int
     qq_pairs: np.ndarray
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of the report CSV (the Q-Q pairs are not in it)."""
+        return ["n", "sw_statistic", "p_value"], [[self.n, self.sw_statistic, self.p_value]]
 
 
 @dataclass
@@ -62,6 +72,10 @@ class RankSweepReport:
     impulse_ratio: float
     trials: int
 
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of the report CSV, one row per rank in sweep order."""
+        return ["rank", "mean_coverage"], [list(r) for r in self.rows]
+
 
 @dataclass
 class ImpulseSweepReport:
@@ -69,6 +83,11 @@ class ImpulseSweepReport:
 
     rows: list[tuple[float, float, float, float]]
     trials: int
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of the report CSV, one row per grid point."""
+        return (["sigma0", "impulse_ratio", "mean_coverage", "std_coverage"],
+                [list(r) for r in self.rows])
 
 
 @dataclass
@@ -80,6 +99,11 @@ class TimingReport:
     lrma_only_s: float
     lrma_plus_uq_s: float
     mc_trials: int
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """Header and rows of the report CSV."""
+        return (["mc_trials", "mc_total_s", "lrma_only_s", "lrma_plus_uq_s"],
+                [[self.mc_trials, self.mc_total_s, self.lrma_only_s, self.lrma_plus_uq_s]])
 
 
 def coverage_rate(samples: np.ndarray, sigma_hat: HsiCube) -> tuple[HsiCube, float, float]:

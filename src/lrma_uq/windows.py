@@ -1,4 +1,4 @@
-"""Sliding-window geometry: patch enumeration, coverage counts, the 3D<->2D
+"""Sliding-window geometry: patch enumeration, coverage counts, the 3D->2D
 patch reshaping, and mean aggregation of overlapping denoised patches."""
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cube import HsiCube, VoxelIndex, hadamard_divide
+from .cube import HsiCube, hadamard_divide
 
 Origin = tuple[int, int]
 
@@ -145,31 +145,6 @@ def patch_to_matrix(patch: np.ndarray) -> np.ndarray:
         raise ValueError(f"patch must be 3-D, got ndim={patch.ndim}")
     h, w, p = patch.shape
     return patch.reshape(h * w, p)
-
-
-def matrix_to_patch(mat: np.ndarray, patch_side: int, bands: int) -> np.ndarray:
-    """Exact inverse of `patch_to_matrix` for a square spatial window."""
-    mat = np.asarray(mat)
-    if mat.shape != (patch_side * patch_side, bands):
-        raise ValueError(
-            f"matrix shape {mat.shape} does not match "
-            f"({patch_side * patch_side}, {bands})"
-        )
-    return mat.reshape(patch_side, patch_side, bands)
-
-
-def voxel_to_matrix_index(xi: VoxelIndex, origin: Origin, patch_side: int) -> tuple[int, int]:
-    """Map a cube voxel inside a window's footprint to its (row, col) position
-    in the permuted patch matrix."""
-    orow, ocol = origin
-    dr = xi.row - orow
-    dc = xi.col - ocol
-    if not (0 <= dr < patch_side and 0 <= dc < patch_side):
-        raise ValueError(
-            f"voxel {tuple(xi)} is outside the footprint of origin {origin} "
-            f"with side {patch_side}"
-        )
-    return dr * patch_side + dc, xi.band
 
 
 def _uniform_step(starts: np.ndarray) -> int | None:

@@ -328,7 +328,7 @@ def test_criterion_09_aggregation_sanity():
     window = WindowConfig(patch_side=4, step=2, rank=2)
     grid = enumerate_patches(dims, window)
     value = 0.09
-    patches = ((o, np.full((4, 4, 3), value)) for o in grid.origins)
+    patches = np.full((len(grid.origins), 4, 4, 3), value)
     agg = aggregate_variance(patches, grid, CorrelationRule("full"))
     equal_dev = float(np.abs(agg.data - value).max())
     equal_ok = equal_dev <= 1e-12
@@ -339,7 +339,8 @@ def test_criterion_09_aggregation_sanity():
     grid = enumerate_patches(dims, window)
     rng = np.random.default_rng(9)
     var_patches = {o: rng.uniform(0.01, 1.0, size=(4, 4, 2)) for o in grid.origins}
-    agg = aggregate_variance(var_patches.items(), grid, CorrelationRule())
+    # The dict keeps grid.origins order, which the stacked array must have.
+    agg = aggregate_variance(np.stack(list(var_patches.values())), grid, CorrelationRule())
     expected = np.empty(dims)
     for (r0, c0), patch in var_patches.items():
         expected[r0:r0 + 4, c0:c0 + 4, :] = patch

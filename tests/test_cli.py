@@ -132,7 +132,6 @@ class TestDefaults:
         assert (args.window, args.step, args.rank) == (20, 4, 7)
         assert args.sparse_card == 0.0
         assert args.solver == "godec"
-        assert args.correlation == "overlap"
         assert args.threads is None
 
     def test_default_window_runs_on_large_enough_cube(self, capsys, tmp_path):
@@ -158,6 +157,18 @@ class TestUsageErrors:
                         "--variance-out", "v.hsic", *SMALL_WINDOW)
         assert code == 2
         assert err == "error: --variance-out requires --sigma0\n"
+
+    def test_removed_correlation_flag_is_rejected(self, capsys, tmp_path):
+        # The pipeline has one variance model; the old bound modes are gone.
+        clean = make_clean(capsys, tmp_path)
+        code = main(["denoise", "--in", str(clean), "--out", str(tmp_path / "o.hsic"),
+                     "--variance-out", str(tmp_path / "v.hsic"), "--sigma0", "0.05",
+                     "--correlation", "full", *SMALL_WINDOW])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--correlation" in err
 
     def test_no_subcommand(self, capsys):
         code, err = run(capsys)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from lrma_uq import (
-    CorrelationRule,
     HsiCube,
     PipelineConfig,
     WindowConfig,
@@ -48,7 +47,6 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert cfg.window == WindowConfig()
         assert cfg.sigma0 == 0.0
-        assert cfg.correlation == CorrelationRule()
         assert cfg.solver == "godec"
         assert cfg.max_iter == 100
         assert cfg.tol == 1e-7
@@ -284,32 +282,16 @@ class TestDenoiseWithUq:
         # Same fit factors, doubled noise std: variances scale by 4 exactly.
         np.testing.assert_allclose(var2.data, 4.0 * var1.data, rtol=1e-12)
 
-    def test_correlation_modes_are_ordered(self):
-        # Cross terms are nonnegative, and the assumed window-pair
-        # correlation grows from 0 (independent) through the shared-area
-        # ratio to 1 (full), so the variance cubes must be ordered.
-        clean = synth_lowrank_cube((12, 12, 6), true_rank=2, seed=29)
-        noisy = add_gaussian(clean, 0.05, seed=29)
-        cubes = {}
-        for mode in ("independent", "overlap", "full"):
-            cfg = small_config(sigma0=0.05, correlation=CorrelationRule(mode))
-            cubes[mode] = denoise_with_uq(noisy, cfg)[1].data
-        tiny = 1e-15
-        assert (cubes["independent"] <= cubes["overlap"] + tiny).all()
-        assert (cubes["overlap"] <= cubes["full"] + tiny).all()
-        assert cubes["overlap"].mean() > cubes["independent"].mean()
-
     def test_variance_matches_per_window_leverage_oracle(self):
-        # Independent mode on a non-overlapping tiling: each voxel's
-        # variance is exactly sigma0^2 * (row leverage + column leverage)
-        # of its own window, both recomputed here with numpy.linalg.svd.
+        # On a non-overlapping tiling each voxel has one window, so the
+        # split reduces to sigma0^2 * (row leverage + column leverage) of
+        # that window, both recomputed here with numpy.linalg.svd.
         rng = np.random.default_rng(31)
         noisy = HsiCube(rng.uniform(0.1, 0.9, size=(8, 8, 5)))
         side, rank, s0 = 4, 2, 0.07
         cfg = PipelineConfig(
             window=WindowConfig(patch_side=side, step=side, rank=rank),
             sigma0=s0,
-            correlation=CorrelationRule("independent"),
         )
         _, var = denoise_with_uq(noisy, cfg)
 
@@ -358,21 +340,6 @@ class TestDenoiseWithUq:
                 spectral = sum(np.sqrt(lev[o][1]) for o in cover) ** 2
                 expected[row, col, :] = s0 * s0 * (spatial + spectral) / len(cover) ** 2
         np.testing.assert_allclose(var.data, expected, rtol=0, atol=1e-12)
-
-    def test_overlap_variance_on_tiling_is_single_window_leverage(self):
-        # step = side: one window per voxel, so the split reduces to
-        # sigma0^2 * (row leverage + column leverage) of that window, which
-        # the independent mode gives exactly (see the oracle test above).
-        rng = np.random.default_rng(53)
-        noisy = HsiCube(rng.uniform(0.1, 0.9, size=(8, 8, 5)))
-        window = WindowConfig(patch_side=4, step=4, rank=2)
-        cubes = [
-            denoise_with_uq(noisy, PipelineConfig(
-                window=window, sigma0=0.07, correlation=CorrelationRule(mode),
-            ))[1].data
-            for mode in ("overlap", "independent")
-        ]
-        np.testing.assert_allclose(cubes[0], cubes[1], rtol=1e-14, atol=1e-15)
 
 
 class TestMemory:

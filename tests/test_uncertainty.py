@@ -1,25 +1,24 @@
-"""Leverage-score variances, the window-pair correlation model, and the
-aggregation of overlapping per-patch variances into a voxel variance cube."""
+"""The window-pair correlation model, the aggregation of overlapping
+per-patch variances into a voxel variance cube, and the leverage-split
+variance that the pipeline uses."""
 
 import numpy as np
 import pytest
 
 from lrma_uq import (
     CorrelationRule,
-    LeverageMap,
     WindowConfig,
     aggregate_variance,
     enumerate_patches,
-    leverage_map,
     overlap_ratio,
-    patch_variance,
     split_variance,
-    truncated_svd,
 )
 
 
 def brute_force_variance(patch_vars, grid, rule):
     """Oracle: per-voxel variance of the window average by direct summation.
+
+    patch_vars holds one variance patch per window, in grid.origins order.
 
     For each voxel, loop over all covering windows, add their variances,
     add 2 * corr * sigma_p * sigma_q for every unordered window pair, and
@@ -27,7 +26,7 @@ def brute_force_variance(patch_vars, grid, rule):
     """
     j = grid.config.patch_side
     m, n, p = grid.dims
-    by_origin = {tuple(o): np.asarray(v) for o, v in patch_vars}
+    by_origin = dict(zip(grid.origins, patch_vars))
     out = np.zeros((m, n, p))
     for row in range(m):
         for col in range(n):
@@ -64,47 +63,10 @@ def shared_entry_fraction(origin_p, origin_q, patch_side):
 
 
 def random_variance_patches(rng, grid):
+    """One random variance patch per window, stacked in grid.origins order."""
     j = grid.config.patch_side
     p = grid.dims[2]
-    return [(o, rng.uniform(0.5, 2.0, (j, j, p))) for o in grid.origins]
-
-
-class TestLeverageMap:
-    def test_hand_computed_rank1_leverages(self):
-        # A = (1,2)^T (1,2): both singular vectors are (1,2)/sqrt(5), so the
-        # leverage scores are (0.04, 0.16)*5 = (0.2, 0.8) on rows and columns.
-        f = truncated_svd(np.array([[1.0, 2.0], [2.0, 4.0]]), 1)
-        lev = leverage_map(f)
-        np.testing.assert_allclose(lev.row_lev, [0.2, 0.8], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(lev.col_lev, [0.2, 0.8], rtol=0, atol=1e-12)
-
-    def test_leverages_sum_to_rank(self):
-        rng = np.random.default_rng(34)
-        for rank in (1, 3, 5):
-            f = truncated_svd(rng.standard_normal((12, 9)), rank)
-            lev = leverage_map(f)
-            assert lev.row_lev.sum() == pytest.approx(rank, abs=1e-10)
-            assert lev.col_lev.sum() == pytest.approx(rank, abs=1e-10)
-            assert lev.row_lev.min() >= 0
-            assert lev.col_lev.min() >= 0
-
-    def test_variance_matrix_hand_values(self):
-        f = truncated_svd(np.array([[1.0, 2.0], [2.0, 4.0]]), 1)
-        var = leverage_map(f).variance_matrix(1.0)
-        np.testing.assert_allclose(var[0, 0], 0.4, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(var[1, 1], 1.6, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(var[0, 1], 1.0, rtol=0, atol=1e-12)
-
-    def test_variance_matrix_scales_with_sigma0_squared(self):
-        lev = LeverageMap(row_lev=np.array([0.5, 0.5]), col_lev=np.array([0.25]))
-        np.testing.assert_allclose(
-            lev.variance_matrix(0.1), 0.01 * np.array([[0.75], [0.75]])
-        )
-
-    def test_negative_sigma0_rejected(self):
-        lev = LeverageMap(row_lev=np.ones(2), col_lev=np.ones(2))
-        with pytest.raises(ValueError, match="sigma0"):
-            lev.variance_matrix(-0.1)
+    return np.stack([rng.uniform(0.5, 2.0, (j, j, p)) for _ in grid.origins])
 
 
 class TestOverlapRatio:
@@ -158,31 +120,13 @@ class TestCorrelationRule:
             CorrelationRule("diagonal")
 
 
-class TestPatchVariance:
-    def test_layout_matches_matrix_entries(self):
-        rng = np.random.default_rng(37)
-        f = truncated_svd(rng.standard_normal((9, 4)), 2)
-        lev = leverage_map(f)
-        var_mat = lev.variance_matrix(0.3)
-        var_patch = patch_variance(lev, 0.3, 3, 4)
-        for dr in range(3):
-            for dc in range(3):
-                for band in range(4):
-                    assert var_patch[dr, dc, band] == var_mat[dr * 3 + dc, band]
-
-    def test_size_mismatch_rejected(self):
-        lev = LeverageMap(row_lev=np.ones(9), col_lev=np.ones(4))
-        with pytest.raises(ValueError, match="leverage sizes"):
-            patch_variance(lev, 0.1, 4, 4)
-
-
 class TestAggregateVariance:
     def test_two_window_worked_example(self):
         # Two side-2 windows at (0,0) and (0,1) on a 2x3 image share half
         # their entries. With unit variances everywhere, shared voxels get
         # (1 + 1 + 2*0.5) / 4 = 0.75 and exclusive voxels keep 1.0.
         grid = enumerate_patches((2, 3, 1), WindowConfig(patch_side=2, step=1, rank=1))
-        patches = [(o, np.ones((2, 2, 1))) for o in grid.origins]
+        patches = np.ones((len(grid), 2, 2, 1))
         out = aggregate_variance(patches, grid, CorrelationRule("overlap"))
         np.testing.assert_allclose(out.data[:, 1, 0], 0.75, rtol=0, atol=1e-15)
         np.testing.assert_allclose(out.data[:, 0, 0], 1.0, rtol=0, atol=1e-15)
@@ -215,7 +159,7 @@ class TestAggregateVariance:
         # Perfectly correlated equal-variance windows must yield exactly the
         # single-window variance: averaging adds no information.
         grid = enumerate_patches((10, 10, 2), WindowConfig(patch_side=4, step=2, rank=1))
-        patches = [(o, np.full((4, 4, 2), 0.09)) for o in grid.origins]
+        patches = np.full((len(grid), 4, 4, 2), 0.09)
         out = aggregate_variance(patches, grid, CorrelationRule("full"))
         np.testing.assert_allclose(out.data, 0.09, rtol=0, atol=1e-12)
 
@@ -226,7 +170,7 @@ class TestAggregateVariance:
         out = aggregate_variance(patches, grid, CorrelationRule("independent"))
         # Oracle: scatter-add variances, divide by coverage twice.
         acc = np.zeros((8, 8, 2))
-        for (r, c), vp in patches:
+        for (r, c), vp in zip(grid.origins, patches):
             acc[r:r + 4, c:c + 4, :] += vp
         oracle = acc / grid.coverage.data**2
         np.testing.assert_allclose(out.data, oracle, rtol=0, atol=1e-15)
@@ -236,7 +180,7 @@ class TestAggregateVariance:
         grid = enumerate_patches((8, 8, 2), WindowConfig(patch_side=4, step=4, rank=1))
         patches = random_variance_patches(rng, grid)
         out = aggregate_variance(patches, grid, CorrelationRule("overlap"))
-        for (r, c), vp in patches:
+        for (r, c), vp in zip(grid.origins, patches):
             np.testing.assert_array_equal(out.data[r:r + 4, c:c + 4, :], vp)
 
     def test_mode_ordering_is_monotone(self):
@@ -249,64 +193,25 @@ class TestAggregateVariance:
         assert np.all(ind <= ovl + 1e-15)
         assert np.all(ovl <= ful + 1e-15)
 
-    @pytest.mark.parametrize("mode", ["overlap", "independent", "full"])
-    def test_array_input_matches_tuple_input(self, mode):
-        # A pre-stacked (n_windows, J, J, P) array in grid.origins order is
-        # the fast path; it must be bit-identical to the tuple path.
-        rng = np.random.default_rng(43)
-        grid = enumerate_patches((11, 9, 2), WindowConfig(patch_side=4, step=3, rank=1))
-        patches = random_variance_patches(rng, grid)
-        stacked = np.stack([vp for _, vp in patches])
-        rule = CorrelationRule(mode)
-        from_tuples = aggregate_variance(patches, grid, rule)
-        from_array = aggregate_variance(stacked, grid, rule)
-        np.testing.assert_array_equal(from_array.data, from_tuples.data)
-
     def test_array_input_copy_flag(self):
-        # copy=True must leave the caller's array untouched; copy=False may
-        # consume it as scratch but still produces the identical result.
+        # The input is copied before it serves as scratch: the caller's
+        # array is left untouched in every mode.
         rng = np.random.default_rng(44)
         grid = enumerate_patches((8, 8, 2), WindowConfig(patch_side=4, step=2, rank=1))
-        stacked = np.stack([vp for _, vp in random_variance_patches(rng, grid)])
+        stacked = random_variance_patches(rng, grid)
         pristine = stacked.copy()
-        kept = aggregate_variance(stacked, grid, copy=True)
-        np.testing.assert_array_equal(stacked, pristine)
-        consumed = aggregate_variance(stacked, grid, copy=False)
-        np.testing.assert_array_equal(consumed.data, kept.data)
+        for mode in ("overlap", "independent", "full"):
+            aggregate_variance(stacked, grid, CorrelationRule(mode))
+            np.testing.assert_array_equal(stacked, pristine)
 
     def test_array_input_wrong_shape_rejected(self):
         grid = enumerate_patches((6, 6, 1), WindowConfig(patch_side=3, step=3, rank=1))
         with pytest.raises(ValueError, match="shape"):
             aggregate_variance(np.ones((3, 3, 3, 1)), grid)
 
-    def test_missing_patch_rejected(self):
-        grid = enumerate_patches((6, 6, 1), WindowConfig(patch_side=3, step=3, rank=1))
-        patches = [(o, np.ones((3, 3, 1))) for o in grid.origins[:-1]]
-        with pytest.raises(ValueError, match="missing"):
-            aggregate_variance(patches, grid)
-
-    def test_duplicate_patch_rejected(self):
-        grid = enumerate_patches((6, 6, 1), WindowConfig(patch_side=3, step=3, rank=1))
-        patches = [(o, np.ones((3, 3, 1))) for o in grid.origins]
-        patches.append((grid.origins[0], np.ones((3, 3, 1))))
-        with pytest.raises(ValueError, match="duplicate"):
-            aggregate_variance(patches, grid)
-
-    def test_unknown_origin_rejected(self):
-        grid = enumerate_patches((6, 6, 1), WindowConfig(patch_side=3, step=3, rank=1))
-        patches = [((1, 1), np.ones((3, 3, 1)))]
-        with pytest.raises(ValueError, match="not in the grid"):
-            aggregate_variance(patches, grid)
-
-    def test_wrong_shape_rejected(self):
-        grid = enumerate_patches((6, 6, 1), WindowConfig(patch_side=3, step=3, rank=1))
-        patches = [(o, np.ones((2, 2, 1))) for o in grid.origins]
-        with pytest.raises(ValueError, match="shape"):
-            aggregate_variance(patches, grid)
-
     def test_negative_variance_rejected(self):
         grid = enumerate_patches((6, 6, 1), WindowConfig(patch_side=3, step=3, rank=1))
-        patches = [(o, -np.ones((3, 3, 1))) for o in grid.origins]
+        patches = -np.ones((len(grid), 3, 3, 1))
         with pytest.raises(ValueError, match="negative"):
             aggregate_variance(patches, grid)
 

@@ -11,9 +11,7 @@ from lrma_uq import (
     aggregate_mean,
     enumerate_patches,
     extract_patch,
-    matrix_to_patch,
     patch_to_matrix,
-    voxel_to_matrix_index,
 )
 from lrma_uq.windows import _scatter_blocks
 
@@ -143,27 +141,6 @@ class TestPatchMatrixReshaping:
         assert mat.shape == (4, 1)
         np.testing.assert_array_equal(mat[:, 0], [a, b, c, d])
 
-    def test_roundtrip_bit_exact(self):
-        rng = np.random.default_rng(5)
-        patch = rng.normal(size=(3, 3, 4))
-        back = matrix_to_patch(patch_to_matrix(patch), 3, 4)
-        np.testing.assert_array_equal(back, patch)
-
-    def test_matrix_roundtrip_through_patch(self):
-        rng = np.random.default_rng(6)
-        mat = rng.normal(size=(4, 3))
-        back = patch_to_matrix(matrix_to_patch(mat, 2, 3))
-        np.testing.assert_array_equal(back, mat)
-
-    def test_row_matrix_to_single_pixel_patch(self):
-        mat = np.arange(6, dtype=np.float64).reshape(1, 6)
-        patch = matrix_to_patch(mat, 1, 6)
-        assert patch.shape == (1, 1, 6)
-
-    def test_zero_matrix_to_zero_patch(self):
-        patch = matrix_to_patch(np.zeros((4, 2)), 2, 2)
-        assert not patch.any()
-
     def test_entry_addressing_against_loop_oracle(self):
         rng = np.random.default_rng(7)
         patch = rng.normal(size=(3, 3, 2))
@@ -172,36 +149,6 @@ class TestPatchMatrixReshaping:
             for dc in range(3):
                 for band in range(2):
                     assert mat[dr * 3 + dc, band] == patch[dr, dc, band]
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_to_patch(np.zeros((4, 2)), 3, 2)
-
-
-class TestVoxelToMatrixIndex:
-    def test_origin_voxel_maps_to_first_entry(self):
-        assert voxel_to_matrix_index(VoxelIndex(0, 0, 0), (0, 0), 2) == (0, 0)
-
-    def test_interior_voxel_index_arithmetic(self):
-        # Window anchored at (2,2) with side 2: voxel (3,2) is spatial
-        # offset (1,0), row-major pixel 2; band 1 is column 1.
-        assert voxel_to_matrix_index(VoxelIndex(3, 2, 1), (2, 2), 2) == (2, 1)
-
-    def test_outside_footprint_rejected(self):
-        with pytest.raises(ValueError, match="footprint"):
-            voxel_to_matrix_index(VoxelIndex(4, 2, 0), (2, 2), 2)
-
-    def test_consistent_with_patch_to_matrix(self):
-        rng = np.random.default_rng(8)
-        cube = HsiCube(rng.normal(size=(6, 6, 3)))
-        origin = (1, 2)
-        patch = extract_patch(cube, VoxelIndex(1, 2, 0), (3, 3, 3))
-        mat = patch_to_matrix(patch)
-        for row in range(1, 4):
-            for col in range(2, 5):
-                for band in range(3):
-                    u, v = voxel_to_matrix_index(VoxelIndex(row, col, band), origin, 3)
-                    assert mat[u, v] == cube.data[row, col, band]
 
 
 class TestScatterBlocks:
