@@ -25,7 +25,7 @@ from .lowrank import (
 )
 from .noise import NoiseSpec, add_gaussian, add_impulse, apply_noise, synth_lowrank_cube
 from .pipeline import PipelineConfig, denoise, denoise_with_uq
-from .uncertainty import CorrelationRule, aggregate_variance, overlap_ratio, split_variance
+from .uncertainty import aggregate_variance, overlap_ratio
 from .validate import (
     ImpulseSweepReport,
     McReport,
@@ -78,10 +78,8 @@ __all__ = [
     "godec",
     "procrustes_rectify",
     "factor_error_samples",
-    "CorrelationRule",
     "overlap_ratio",
     "aggregate_variance",
-    "split_variance",
     "NoiseSpec",
     "synth_lowrank_cube",
     "add_gaussian",

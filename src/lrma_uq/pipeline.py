@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import blas
 from .cube import HsiCube, hadamard_divide
 from .lowrank import godec, truncated_svd_batch
-from .uncertainty import split_variance
+from .uncertainty import aggregate_variance
 from .windows import WindowConfig, _scatter_blocks, enumerate_patches
 
 _log = logging.getLogger(__name__)
@@ -181,11 +181,9 @@ def denoise_with_uq(cube: HsiCube, cfg: PipelineConfig) -> tuple[HsiCube, HsiCub
     work over `denoise` is the leverage arithmetic and one variance
     aggregation pass; no further matrix decompositions are run.
 
-    The window error is always split by leverage (`split_variance`): the
+    The window error is split by leverage (`aggregate_variance`): the
     spatial (row-leverage) part is correlated between windows by their
     shared-footprint fraction, the spectral (column-leverage) part fully.
-    No correlation rule applies to the whole per-window std here; that
-    model lives only in `aggregate_variance`.
     """
     grid, mean, row_lev, col_lev = _fit_windows(cube, cfg, leverage=True)
-    return mean, split_variance(row_lev, col_lev, grid, cfg.sigma0)
+    return mean, aggregate_variance(row_lev, col_lev, grid, cfg.sigma0)

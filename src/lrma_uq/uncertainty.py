@@ -1,55 +1,16 @@
 """Closed-form uncertainty of sliding-window low-rank fits: the per-voxel
 variance of the window average under the leverage-split model
-(`split_variance`, the one route `denoise_with_uq` takes), the
-shared-footprint correlation of two windows, and the aggregation of
-per-patch variances under a whole-patch correlation rule."""
+(`aggregate_variance`, the one route `denoise_with_uq` takes) and the
+shared-footprint correlation of two windows."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .cube import HsiCube
-from .windows import PatchGrid, _scatter_blocks
-
-Origin = tuple[int, int]
-
-_MODES = ("overlap", "independent", "full")
-
-
-@dataclass(frozen=True)
-class CorrelationRule:
-    """Correlation model for two windows' estimates of a shared voxel.
-
-    overlap     -- fraction of patch-matrix entries the windows share (default)
-    independent -- zero for distinct windows (lower aggregation bound)
-    full        -- one for every window pair (upper aggregation bound)
-    A window is always perfectly correlated with itself, in every mode.
-
-    The rule correlates whole-patch stds: `correlation` and
-    `aggregate_variance` apply its value to the whole per-window std. The
-    pipeline does not use it. It always takes the leverage split
-    (`split_variance`), which correlates the spatial (row-leverage) part of
-    the error by the overlap value and the spectral (column-leverage) part
-    fully, and which lies between the independent and full bounds.
-    """
-
-    mode: str = "overlap"
-
-    def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-
-    def correlation(self, origin_p: Origin, origin_q: Origin, patch_side: int) -> float:
-        if tuple(origin_p) == tuple(origin_q):
-            return 1.0
-        if self.mode == "independent":
-            return 0.0
-        if self.mode == "full":
-            return 1.0
-        return overlap_ratio(origin_p, origin_q, patch_side)
+from .windows import Origin, PatchGrid, _scatter_blocks
 
 
 def overlap_ratio(origin_p: Origin, origin_q: Origin, patch_side: int) -> float:
@@ -135,47 +96,6 @@ def _add_cross_terms(num: np.ndarray, stds: np.ndarray, grid: PatchGrid) -> None
 
 
 def aggregate_variance(
-    patch_vars: np.ndarray, grid: PatchGrid, rule: CorrelationRule = CorrelationRule()
-) -> HsiCube:
-    """Combine per-patch variances into the variance of the averaged cube.
-
-    Each voxel's output is the mean of the covering windows' estimates, so
-    its variance is (1/phi^2) * [sum of per-window variances + 2 * sum over
-    unordered window pairs of corr * sigma_p * sigma_q], phi being the
-    cover count. The pair correlation is set by `rule` and applies to the
-    whole per-patch std sigma_p. The pipeline never calls this: it always
-    takes the leverage split (`split_variance`).
-
-    patch_vars is a (len(grid.origins), J, J, P) array of non-negative
-    variance patches in grid.origins order. It is copied, never modified.
-    """
-    jside = grid.config.patch_side
-    m, n, p = grid.dims
-    ro, co = grid.row_origins, grid.col_origins
-    stack = np.array(patch_vars, dtype=np.float64)  # consumed as scratch below
-    expected = (ro.size * co.size, jside, jside, p)
-    if stack.shape != expected:
-        raise ValueError(
-            f"variance patch array shape {stack.shape} does not match {expected}"
-        )
-    if stack.min() < 0:
-        raise ValueError("negative input variance")
-    stack = stack.reshape(ro.size, co.size, jside, jside, p)
-    num = np.zeros((m, n, p), dtype=np.float64)
-    if rule.mode == "full":
-        np.sqrt(stack, out=stack)
-        _scatter_blocks(num, stack, ro, co)
-        np.square(num, out=num)
-    else:
-        _scatter_blocks(num, stack, ro, co)
-        if rule.mode == "overlap":
-            _add_cross_terms(num, np.sqrt(stack, out=stack), grid)
-    np.divide(num, grid.coverage.data, out=num)
-    np.divide(num, grid.coverage.data, out=num)
-    return HsiCube(num, copy=False)
-
-
-def split_variance(
     row_lev: np.ndarray, col_lev: np.ndarray, grid: PatchGrid, sigma0: float
 ) -> HsiCube:
     """Variance of the window average under the leverage-split model.
@@ -190,16 +110,15 @@ def split_variance(
         var = sigma0^2 / phi^2 * [sum_{p,q} rho_pq sqrt(lu_p lu_q)
                                   + (sum_p sqrt(lv_p))^2]
 
-    The first term is the overlap aggregation of sigma0^2 * lu (as in
-    `aggregate_variance`) on a one-band plane, broadcast over the bands. In
-    the second, sqrt(lv_p) is constant over window p's pixels, so the sum
-    over covering windows is a box sum over window origins that separates
-    by axis: two products with the pixel-in-window indicator matrices of the
-    row and column origins. With one window per voxel this is
-    sigma0^2 * (lu + lv).
+    The first term aggregates sigma0^2 * lu by rho_pq on a one-band plane,
+    broadcast over the bands. In the second, sqrt(lv_p) is constant over
+    window p's pixels, so the sum over covering windows is a box sum over
+    window origins that separates by axis: two products with the
+    pixel-in-window indicator matrices of the row and column origins. With
+    one window per voxel this is sigma0^2 * (lu + lv).
 
-    row_lev is (len(grid), J*J) and col_lev is (len(grid), P), both in
-    grid.origins order.
+    row_lev is (len(grid), J*J) and col_lev is (len(grid), P), both
+    non-negative and in grid.origins order.
     """
     jside = grid.config.patch_side
     m, n, p = grid.dims
@@ -209,6 +128,8 @@ def split_variance(
             f"leverage shapes {row_lev.shape}, {col_lev.shape} do not match "
             f"({count}, {jside * jside}), ({count}, {p})"
         )
+    if row_lev.min() < 0 or col_lev.min() < 0:
+        raise ValueError("negative leverage")
     s2 = sigma0 * sigma0
     ro, co = grid.row_origins, grid.col_origins
     spatial_var = (s2 * row_lev).reshape(ro.size, co.size, jside, jside, 1)

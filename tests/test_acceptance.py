@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from lrma_uq import (
-    CorrelationRule,
     HsiCube,
     NoiseSpec,
     PipelineConfig,
@@ -322,34 +321,38 @@ def test_criterion_08_solver_correctness():
 
 
 def test_criterion_09_aggregation_sanity():
-    # (a) full correlation + equal patch variances: averaging correlated
-    # copies of the same number must return that number.
+    # (a) equal copies of the fully correlated spectral part: averaging
+    # correlated copies of the same number must return that number.
     dims = (10, 10, 3)
     window = WindowConfig(patch_side=4, step=2, rank=2)
     grid = enumerate_patches(dims, window)
     value = 0.09
-    patches = np.full((len(grid.origins), 4, 4, 3), value)
-    agg = aggregate_variance(patches, grid, CorrelationRule("full"))
+    agg = aggregate_variance(
+        np.zeros((len(grid), 16)), np.full((len(grid), 3), value), grid, 1.0
+    )
     equal_dev = float(np.abs(agg.data - value).max())
     equal_ok = equal_dev <= 1e-12
 
-    # (b) step = window: no overlaps, so aggregation is exact placement.
+    # (b) step = window: no overlaps, so aggregation is exact placement of
+    # each window's sigma0^2 * lu + (sqrt(sigma0^2 * lv))^2.
     dims = (8, 8, 2)
     window = WindowConfig(patch_side=4, step=4, rank=2)
     grid = enumerate_patches(dims, window)
     rng = np.random.default_rng(9)
-    var_patches = {o: rng.uniform(0.01, 1.0, size=(4, 4, 2)) for o in grid.origins}
-    # The dict keeps grid.origins order, which the stacked array must have.
-    agg = aggregate_variance(np.stack(list(var_patches.values())), grid, CorrelationRule())
+    sigma0 = 0.07
+    s2 = sigma0 * sigma0
+    row_lev = rng.uniform(0.01, 1.0, size=(len(grid), 16))
+    col_lev = rng.uniform(0.01, 1.0, size=(len(grid), 2))
+    agg = aggregate_variance(row_lev, col_lev, grid, sigma0)
     expected = np.empty(dims)
-    for (r0, c0), patch in var_patches.items():
-        expected[r0:r0 + 4, c0:c0 + 4, :] = patch
+    for (r0, c0), lu, lv in zip(grid.origins, row_lev, col_lev):
+        expected[r0:r0 + 4, c0:c0 + 4, :] = s2 * lu.reshape(4, 4, 1) + np.sqrt(s2 * lv) ** 2
     tiling_ok = bool(np.array_equal(agg.data, expected))
 
     ok = equal_ok and tiling_ok
     line = report_line(
         9, ok,
-        f"equal-variance full-correlation max deviation {equal_dev:.2e} "
+        f"equal spectral-variance copies max deviation {equal_dev:.2e} "
         f"(target <= 1e-12), no-overlap placement exact: {tiling_ok}",
     )
     assert ok, line

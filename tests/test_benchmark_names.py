@@ -5,7 +5,8 @@ BENCHMARK.json lists per-layer metrics keyed by `<layer>.<fn>.calls` and
 function of every `lrma_uq` module under its module's name and reads each
 metric by key, so a pinned function that is deleted or made private, or a
 new module with a public function, breaks every traced run. These tests
-read only BENCHMARK.json and the package.
+read only BENCHMARK.json and the package, and check that the pipeline's
+variance runs through the pinned `aggregate_variance`.
 """
 
 import importlib
@@ -14,7 +15,10 @@ import pkgutil
 import types
 from pathlib import Path
 
+import numpy as np
+
 import lrma_uq
+from lrma_uq import HsiCube, PipelineConfig, WindowConfig, denoise_with_uq, pipeline
 
 _BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -58,3 +62,21 @@ def test_every_module_with_public_functions_is_a_layer():
         and _public_functions(importlib.import_module(f"lrma_uq.{info.name}"))
     ]
     assert not unlisted, f"modules with public functions but no layer: {unlisted}"
+
+
+def test_pipeline_variance_goes_through_pinned_function(monkeypatch):
+    # The benchmark's annotation of `uncertainty.aggregate_variance` reads
+    # its first positional argument, so the pipeline must call it once per
+    # run, with positional arguments only.
+    calls = []
+    real = pipeline.aggregate_variance
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "aggregate_variance", spy)
+    cube = HsiCube(np.random.default_rng(0).uniform(size=(8, 8, 3)))
+    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), sigma0=0.1, solver="tsvd")
+    denoise_with_uq(cube, cfg)
+    assert calls == [(4, {})]
