@@ -40,40 +40,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _int_at_least(minimum: int):
-    def parse(text: str) -> int:
+def _number(kind: type, minimum: float, maximum: float | None = None):
+    """Parser of one int or float value: at least `minimum`, at most any `maximum`."""
+    noun = "integer value" if kind is int else "number"
+
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}") from None
-        if value < minimum:
+            raise argparse.ArgumentTypeError(f"invalid {noun}: {text!r}") from None
+        if maximum is None and value < minimum:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
+        if maximum is not None and not minimum <= value <= maximum:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{minimum}, {maximum}]")
         return value
 
     return parse
-
-
-def _float_at_least(minimum: float):
-    def parse(text: str) -> float:
-        try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
-        return value
-
-    return parse
-
-
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{value} is outside [0, 1]")
-    return value
 
 
 def _dims(text: str) -> tuple[int, int, int]:
@@ -89,24 +71,20 @@ def _dims(text: str) -> tuple[int, int, int]:
     return m, n, p
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(t) for t in text.split(",") if t != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("list must not be empty")
-    return values
+def _list_of(kind: type):
+    """Parser of a non-empty comma-separated list of `kind` values."""
+    noun = "integers" if kind is int else "numbers"
 
+    def parse(text: str) -> list:
+        try:
+            values = [kind(t) for t in text.split(",") if t != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("list must not be empty")
+        return values
 
-def _float_list(text: str) -> list[float]:
-    try:
-        values = [float(t) for t in text.split(",") if t != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("list must not be empty")
-    return values
+    return parse
 
 
 def _resolve_threads(value: int | None) -> int:
@@ -117,12 +95,9 @@ def _resolve_threads(value: int | None) -> int:
     env = os.environ.get("LRMA_UQ_THREADS")
     if env:
         try:
-            parsed = int(env)
-        except ValueError:
-            raise _UsageError(f"LRMA_UQ_THREADS must be an integer, got {env!r}") from None
-        if parsed < 1:
-            raise _UsageError(f"LRMA_UQ_THREADS must be >= 1, got {parsed}")
-        return parsed
+            return _number(int, 1)(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"LRMA_UQ_THREADS: {exc}") from None
     if not blas._can_pin():
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -131,23 +106,33 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -> None:
-    parser.add_argument("--window", type=_int_at_least(1), default=20,
+    parser.add_argument("--window", type=_number(int, 1), default=20,
                         help="spatial side of the sliding window (default 20)")
-    parser.add_argument("--step", type=_int_at_least(1), default=4,
+    parser.add_argument("--step", type=_number(int, 1), default=4,
                         help="stride between window origins (default 4)")
     if with_rank:
-        parser.add_argument("--rank", type=_int_at_least(1), default=7,
+        parser.add_argument("--rank", type=_number(int, 1), default=7,
                             help="rank of the per-window fit (default 7)")
-    parser.add_argument("--sparse-card", type=_float_at_least(0.0), default=0.0,
+    parser.add_argument("--sparse-card", type=_number(float, 0.0), default=0.0,
                         help="sparse budget: 0 disables, <1 is a fraction of "
                              "patch entries, >=1 an absolute count")
     parser.add_argument("--solver", choices=("godec", "tsvd"), default="godec")
-    parser.add_argument("--threads", type=_int_at_least(1), default=None,
+    parser.add_argument("--threads", type=_number(int, 1), default=None,
                         help="worker threads, each fitting one origin row of windows "
                              "at a time with BLAS held at one thread (default: "
                              "LRMA_UQ_THREADS, else the usable cores when numpy's "
                              "OpenBLAS can be held at one thread, else 1); never "
                              "changes output bytes")
+
+
+def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--sigma0", type=_number(float, 0.0), required=True)
+    parser.add_argument("--impulse-ratio", type=_number(float, 0, 1), default=0.0)
+    parser.add_argument("--seed", type=_number(int, 0), default=0)
+
+
+def _noise_spec(args: argparse.Namespace) -> NoiseSpec:
+    return NoiseSpec(sigma0=args.sigma0, impulse_ratio=args.impulse_ratio, seed=args.seed)
 
 
 def _pipeline_config(args: argparse.Namespace, sigma0: float, rank: int | None = None) -> PipelineConfig:
@@ -188,8 +173,7 @@ def _cmd_simulate(args: argparse.Namespace) -> None:
 
 
 def _cmd_noise(args: argparse.Namespace) -> None:
-    spec = NoiseSpec(sigma0=args.sigma0, impulse_ratio=args.impulse_ratio, seed=args.seed)
-    write_cube(apply_noise(read_cube(args.in_path), spec), args.out)
+    write_cube(apply_noise(read_cube(args.in_path), _noise_spec(args)), args.out)
 
 
 def _cmd_denoise(args: argparse.Namespace) -> None:
@@ -207,10 +191,9 @@ def _cmd_denoise(args: argparse.Namespace) -> None:
 
 def _cmd_mc(args: argparse.Namespace) -> None:
     clean = read_cube(args.clean)
-    noise = NoiseSpec(sigma0=args.sigma0, impulse_ratio=args.impulse_ratio, seed=args.seed)
     cfg = _pipeline_config(args, sigma0=args.sigma0)
     report = monte_carlo(
-        clean, noise, cfg,
+        clean, _noise_spec(args), cfg,
         trials=args.trials,
         base_seed=args.seed,
         sigma_mode=args.sigma_mode.replace("-", "_"),
@@ -228,9 +211,8 @@ def _cmd_validate(args: argparse.Namespace) -> None:
 
 def _cmd_sweep_rank(args: argparse.Namespace) -> None:
     clean = read_cube(args.clean)
-    noise = NoiseSpec(sigma0=args.sigma0, impulse_ratio=args.impulse_ratio, seed=args.seed)
     cfg = _pipeline_config(args, sigma0=args.sigma0, rank=args.grid[0])
-    report = rank_sweep(clean, noise, cfg, args.grid, trials=args.trials, base_seed=args.seed)
+    report = rank_sweep(clean, _noise_spec(args), cfg, args.grid, trials=args.trials, base_seed=args.seed)
     write_report_csv(report, args.report)
 
 
@@ -246,9 +228,8 @@ def _cmd_sweep_impulse(args: argparse.Namespace) -> None:
 
 def _cmd_bench(args: argparse.Namespace) -> None:
     clean = read_cube(args.clean)
-    noise = NoiseSpec(sigma0=args.sigma0, impulse_ratio=args.impulse_ratio, seed=args.seed)
     cfg = _pipeline_config(args, sigma0=args.sigma0)
-    report = timing_compare(clean, noise, cfg, mc_trials=args.trials, base_seed=args.seed)
+    report = timing_compare(clean, _noise_spec(args), cfg, mc_trials=args.trials, base_seed=args.seed)
     write_report_csv(report, args.report)
 
 
@@ -262,17 +243,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="write a synthetic low-rank cube")
     p.add_argument("--dims", type=_dims, required=True, metavar="M,N,P")
-    p.add_argument("--rank", type=_int_at_least(1), default=3,
+    p.add_argument("--rank", type=_number(int, 1), default=3,
                    help="true rank of the synthetic cube (default 3)")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seed", type=_number(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("noise", help="corrupt a cube with Gaussian and impulse noise")
     p.add_argument("--in", dest="in_path", required=True)
-    p.add_argument("--sigma0", type=_float_at_least(0.0), required=True)
-    p.add_argument("--impulse-ratio", type=_fraction, default=0.0)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    _add_noise_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_noise)
 
@@ -281,17 +260,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--variance-out", default=None,
                    help="also write the closed-form variance cube (needs --sigma0)")
-    p.add_argument("--sigma0", type=_float_at_least(0.0), default=None,
+    p.add_argument("--sigma0", type=_number(float, 0.0), default=None,
                    help="noise std driving the variance cube")
     _add_window_flags(p)
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("mc", help="Monte Carlo coverage of the closed-form intervals")
     p.add_argument("--clean", required=True)
-    p.add_argument("--sigma0", type=_float_at_least(0.0), required=True)
-    p.add_argument("--impulse-ratio", type=_fraction, default=0.0)
-    p.add_argument("--trials", type=_int_at_least(2), default=100)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    _add_noise_flags(p)
+    p.add_argument("--trials", type=_number(int, 2), default=100)
     p.add_argument("--sigma-mode", choices=("trial0", "per-trial"), default="trial0",
                    help="which trial's closed-form std defines the interval")
     p.add_argument("--report", required=True)
@@ -311,32 +288,28 @@ def _build_parser() -> _Parser:
 
     sp = ssub.add_parser("rank", help="sweep the fit rank")
     sp.add_argument("--clean", required=True)
-    sp.add_argument("--sigma0", type=_float_at_least(0.0), required=True)
-    sp.add_argument("--impulse-ratio", type=_fraction, default=0.0)
-    sp.add_argument("--grid", type=_int_list, required=True, metavar="R1,R2,...")
-    sp.add_argument("--trials", type=_int_at_least(2), default=100)
-    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    _add_noise_flags(sp)
+    sp.add_argument("--grid", type=_list_of(int), required=True, metavar="R1,R2,...")
+    sp.add_argument("--trials", type=_number(int, 2), default=100)
     sp.add_argument("--report", required=True)
     _add_window_flags(sp, with_rank=False)
     sp.set_defaults(func=_cmd_sweep_rank)
 
     sp = ssub.add_parser("impulse", help="sweep noise levels and impulse ratios")
     sp.add_argument("--clean", required=True)
-    sp.add_argument("--sigma0-grid", type=_float_list, required=True, metavar="S1,S2,...")
-    sp.add_argument("--ratio-grid", type=_float_list, required=True, metavar="R1,R2,...")
-    sp.add_argument("--trials", type=_int_at_least(2), default=100)
-    sp.add_argument("--seed", type=_int_at_least(0), default=0)
+    sp.add_argument("--sigma0-grid", type=_list_of(float), required=True, metavar="S1,S2,...")
+    sp.add_argument("--ratio-grid", type=_list_of(float), required=True, metavar="R1,R2,...")
+    sp.add_argument("--trials", type=_number(int, 2), default=100)
+    sp.add_argument("--seed", type=_number(int, 0), default=0)
     sp.add_argument("--report", required=True)
     _add_window_flags(sp)
     sp.set_defaults(func=_cmd_sweep_impulse)
 
     p = sub.add_parser("bench", help="time trial-based vs closed-form uncertainty")
     p.add_argument("--clean", required=True)
-    p.add_argument("--sigma0", type=_float_at_least(0.0), required=True)
-    p.add_argument("--impulse-ratio", type=_fraction, default=0.0)
-    p.add_argument("--trials", type=_int_at_least(1), default=10,
+    _add_noise_flags(p)
+    p.add_argument("--trials", type=_number(int, 1), default=10,
                    help="trial count for the Monte Carlo route")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--report", required=True)
     _add_window_flags(p)
     p.set_defaults(func=_cmd_bench)

@@ -61,10 +61,6 @@ class GodecResult:
     converged: bool = True
     residual_history: list[float] = field(default_factory=list)
 
-    @property
-    def residual(self) -> float:
-        return self.residual_history[-1]
-
 
 # A matrix whose r-th Gram eigenvalue falls below this fraction of the first
 # (sigma_r / sigma_1 < 1e-4) is refit with a full SVD: squaring the

@@ -16,7 +16,7 @@ from . import blas
 from .cube import HsiCube, hadamard_divide
 from .lowrank import godec, truncated_svd_batch
 from .uncertainty import aggregate_variance
-from .windows import WindowConfig, _scatter_blocks, enumerate_patches
+from .windows import WindowConfig, _scatter_blocks, enumerate_patches, patch_to_matrix
 
 _log = logging.getLogger(__name__)
 
@@ -67,12 +67,13 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
     Writes the row and column leverages of the fit factors into the
     (windows, J*J) `row_lev` and (windows, P) `col_lev` when given. Returns
     the (windows, J, J, P) approximations and the count of windows that hit
-    the GoDec iteration cap. The row is gathered once, and each window's
-    approximation overwrites its gathered matrix.
+    the GoDec iteration cap. Each window's approximation overwrites its
+    `patch_to_matrix` view of the gathered, C-contiguous row.
     """
     w = cfg.window
     n, jside, p = col_origins.size, w.patch_side, windows.shape[1]
-    mats = np.moveaxis(windows, 1, 3)[col_origins].reshape(n, jside * jside, p)
+    row = np.moveaxis(windows, 1, 3)[col_origins]
+    mats = patch_to_matrix(row)
     k = w.sparse_count(jside * jside * p)
     stalled = 0
     if cfg.solver == "tsvd" or k == 0:
@@ -88,7 +89,7 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
     if row_lev is not None:
         np.einsum("nur,nur->nu", u, u, out=row_lev)
         np.einsum("nvr,nvr->nv", v, v, out=col_lev)
-    return mats.reshape(n, jside, jside, p), stalled
+    return row, stalled
 
 
 def _ordered(fn, count: int, workers: int):
@@ -99,6 +100,10 @@ def _ordered(fn, count: int, workers: int):
     the consumer. The caller hands rows to idle pool threads first, yields
     finished rows next, and only then computes a row itself. Every pool
     result is read, so an exception in a worker is raised here.
+
+    Keep the caller a worker: a plain pool of `workers` threads with the
+    caller only consuming holds one more row in flight, which raised peak
+    RSS by 9-12% on both benchmark scenes, past the 5% bound (see ROADMAP).
     """
     if workers == 1 or count == 1:
         yield from map(fn, range(count))

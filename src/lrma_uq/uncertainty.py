@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .cube import HsiCube
-from .windows import Origin, PatchGrid, _scatter_blocks
+from .windows import Origin, PatchGrid, _cover_indicator, _scatter_blocks
 
 
 def overlap_ratio(origin_p: Origin, origin_q: Origin, patch_side: int) -> float:
@@ -145,9 +145,3 @@ def aggregate_variance(
     np.divide(out, grid.coverage.data, out=out)
     np.divide(out, grid.coverage.data, out=out)
     return HsiCube(out, copy=False)
-
-
-def _cover_indicator(extent: int, origins: np.ndarray, patch_side: int) -> np.ndarray:
-    """(extent, len(origins)) matrix: 1 where the pixel lies in the window."""
-    pixels = np.arange(extent)[:, None]
-    return ((origins <= pixels) & (pixels < origins + patch_side)).astype(np.float64)

@@ -105,6 +105,12 @@ class PatchGrid:
         return [(int(r), int(c)) for r in rows for c in cols]
 
 
+def _cover_indicator(extent: int, origins: np.ndarray, patch_side: int) -> np.ndarray:
+    """(extent, len(origins)) matrix: 1 where the pixel lies in the window."""
+    pixels = np.arange(extent)[:, None]
+    return ((origins <= pixels) & (pixels < origins + patch_side)).astype(np.float64)
+
+
 def enumerate_patches(dims: tuple[int, int, int], config: WindowConfig) -> PatchGrid:
     """Enumerate all sliding-window origins over `dims` and count coverage."""
     config.validate_for(dims)
@@ -115,12 +121,8 @@ def enumerate_patches(dims: tuple[int, int, int], config: WindowConfig) -> Patch
     origins = [(int(r), int(c)) for r in row_origins for c in col_origins]
 
     # Coverage factorizes over axes because the origin set is a cross product.
-    row_counts = np.zeros(m, dtype=np.float64)
-    for r in row_origins:
-        row_counts[r:r + j] += 1.0
-    col_counts = np.zeros(n, dtype=np.float64)
-    for c in col_origins:
-        col_counts[c:c + j] += 1.0
+    row_counts = _cover_indicator(m, row_origins, j).sum(axis=1)
+    col_counts = _cover_indicator(n, col_origins, j).sum(axis=1)
     # Every band shares the plane: a read-only view with band stride 0.
     plane = np.outer(row_counts, col_counts)
     coverage = HsiCube(np.broadcast_to(plane[:, :, None], (m, n, p)), copy=False)
@@ -136,15 +138,16 @@ def enumerate_patches(dims: tuple[int, int, int], config: WindowConfig) -> Patch
 
 
 def patch_to_matrix(patch: np.ndarray) -> np.ndarray:
-    """Reshape a (J, J, P) full-band patch into a (J*J) x P matrix.
+    """Reshape (..., J, J, P) full-band patches into (..., J*J, P) matrices.
 
-    Row u is spatial pixel u in row-major order; column v is band v.
+    Row u is spatial pixel u in row-major order; column v is band v. A
+    C-contiguous patch gives a view, so writes to the matrix reach it.
     """
     patch = np.asarray(patch)
-    if patch.ndim != 3:
-        raise ValueError(f"patch must be 3-D, got ndim={patch.ndim}")
-    h, w, p = patch.shape
-    return patch.reshape(h * w, p)
+    if patch.ndim < 3:
+        raise ValueError(f"patch must be at least 3-D, got ndim={patch.ndim}")
+    *lead, h, w, p = patch.shape
+    return patch.reshape(*lead, h * w, p)
 
 
 def _uniform_step(starts: np.ndarray) -> int | None:

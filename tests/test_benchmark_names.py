@@ -6,7 +6,8 @@ function of every `lrma_uq` module under its module's name and reads each
 metric by key, so a pinned function that is deleted or made private, or a
 new module with a public function, breaks every traced run. These tests
 read only BENCHMARK.json and the package, and check that the pipeline's
-variance runs through the pinned `aggregate_variance`.
+variance runs through the pinned `aggregate_variance` and its windows are
+shaped by the pinned `patch_to_matrix`.
 """
 
 import importlib
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import lrma_uq
-from lrma_uq import HsiCube, PipelineConfig, WindowConfig, denoise_with_uq, pipeline
+from lrma_uq import HsiCube, PipelineConfig, WindowConfig, denoise, denoise_with_uq, pipeline
 
 _BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
@@ -80,3 +81,20 @@ def test_pipeline_variance_goes_through_pinned_function(monkeypatch):
     cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), sigma0=0.1, solver="tsvd")
     denoise_with_uq(cube, cfg)
     assert calls == [(4, {})]
+
+
+def test_pipeline_windows_go_through_pinned_reshape(monkeypatch):
+    # `windows.patch_to_matrix` is pinned by call count: the pipeline shapes
+    # each origin row of windows into matrices with it, once per row.
+    calls = []
+    real = pipeline.patch_to_matrix
+
+    def spy(row):
+        calls.append(row.shape)
+        return real(row)
+
+    monkeypatch.setattr(pipeline, "patch_to_matrix", spy)
+    cube = HsiCube(np.random.default_rng(0).uniform(size=(10, 8, 3)))
+    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), solver="tsvd")
+    denoise(cube, cfg)
+    assert calls == [(3, 4, 4, 3)] * 4

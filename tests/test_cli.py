@@ -184,6 +184,75 @@ class TestUsageErrors:
         assert code == 2 and "M,N,P" in err
 
 
+# A command line each subcommand accepts; a case appends one flag to it.
+_VALID = {
+    "simulate": ["simulate", "--dims", "4,4,4", "--out", "o.hsic"],
+    "noise": ["noise", "--in", "x.hsic", "--sigma0", "0.1", "--out", "o.hsic"],
+    "denoise": ["denoise", "--in", "x.hsic", "--out", "o.hsic"],
+    "mc": ["mc", "--clean", "x.hsic", "--sigma0", "0.1", "--report", "r.csv"],
+    "sweep rank": ["sweep", "rank", "--clean", "x.hsic", "--sigma0", "0.1",
+                   "--grid", "1", "--report", "r.csv"],
+    "sweep impulse": ["sweep", "impulse", "--clean", "x.hsic", "--sigma0-grid", "0.1",
+                      "--ratio-grid", "0", "--report", "r.csv"],
+    "bench": ["bench", "--clean", "x.hsic", "--sigma0", "0.1", "--report", "r.csv"],
+}
+
+_INT, _NUM = "invalid integer value: 'x'", "invalid number: 'x'"
+
+# (command, flag, out-of-range value, its message, message for "x")
+_BOUNDS = [
+    ("denoise", "--window", "0", "0 is below the minimum 1", _INT),
+    ("denoise", "--step", "0", "0 is below the minimum 1", _INT),
+    ("denoise", "--rank", "0", "0 is below the minimum 1", _INT),
+    ("simulate", "--rank", "0", "0 is below the minimum 1", _INT),
+    ("denoise", "--sparse-card", "-0.5", "-0.5 is below the minimum 0.0", _NUM),
+    ("denoise", "--threads", "0", "0 is below the minimum 1", _INT),
+    ("simulate", "--seed", "-1", "-1 is below the minimum 0", _INT),
+    ("noise", "--seed", "-1", "-1 is below the minimum 0", _INT),
+    ("denoise", "--sigma0", "-0.1", "-0.1 is below the minimum 0.0", _NUM),
+    ("noise", "--sigma0", "-0.1", "-0.1 is below the minimum 0.0", _NUM),
+    ("noise", "--impulse-ratio", "1.5", "1.5 is outside [0, 1]", _NUM),
+    ("mc", "--impulse-ratio", "-0.1", "-0.1 is outside [0, 1]", _NUM),
+    ("mc", "--trials", "1", "1 is below the minimum 2", _INT),
+    ("sweep rank", "--trials", "1", "1 is below the minimum 2", _INT),
+    ("sweep impulse", "--trials", "1", "1 is below the minimum 2", _INT),
+    ("bench", "--trials", "0", "0 is below the minimum 1", _INT),
+    ("sweep rank", "--grid", ",", "list must not be empty",
+     "expected comma-separated integers, got 'x'"),
+    ("sweep impulse", "--sigma0-grid", ",", "list must not be empty",
+     "expected comma-separated numbers, got 'x'"),
+    ("sweep impulse", "--ratio-grid", ",", "list must not be empty",
+     "expected comma-separated numbers, got 'x'"),
+    ("denoise", "LRMA_UQ_THREADS", "0", None, None),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    pytest.param(command, flag, value, message, id=f"{command} {flag}={value}")
+    for command, flag, low, low_message, nan_message in _BOUNDS
+    for value, message in ((low, low_message), ("x", nan_message))
+])
+def test_range_checked_value_is_one_usage_error_line(
+        capsys, tmp_path, monkeypatch, command, flag, value, message):
+    if flag == "LRMA_UQ_THREADS":
+        # Read after the input cube, so the cube must exist.
+        monkeypatch.setenv(flag, value)
+        argv = ["denoise", "--in", str(make_clean(capsys, tmp_path)),
+                "--out", str(tmp_path / "o.hsic"), *SMALL_WINDOW]
+    else:
+        monkeypatch.delenv("LRMA_UQ_THREADS", raising=False)
+        argv = [*_VALID[command], f"{flag}={value}"]
+    code, out, err = main(argv), *capsys.readouterr()
+    assert code == 2 and out == ""
+    if message is not None:
+        assert err == f"error: argument {flag}: {message}\n"
+    else:
+        # The line names the variable and the rejected value.
+        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+        assert (f"'{value}'" if value == "x" else f" {value}") in err
+        assert not (tmp_path / "o.hsic").exists()
+
+
 class TestRuntimeErrors:
     def test_missing_input_file_is_one_error_line(self, capsys, tmp_path):
         code, err = run(capsys, "denoise", "--in", str(tmp_path / "nope.hsic"),

@@ -150,6 +150,20 @@ class TestPatchMatrixReshaping:
                 for band in range(2):
                     assert mat[dr * 3 + dc, band] == patch[dr, dc, band]
 
+    def test_stack_reshapes_each_patch_as_a_view(self):
+        # A (..., J, J, P) stack becomes a (..., J*J, P) stack, patch by
+        # patch; the pipeline fits through the view, so writes must land.
+        stack = np.random.default_rng(3).normal(size=(2, 4, 3, 3, 2))
+        mats = patch_to_matrix(stack)
+        assert mats.shape == (2, 4, 9, 2)
+        for i in range(2):
+            for k in range(4):
+                np.testing.assert_array_equal(mats[i, k], patch_to_matrix(stack[i, k]))
+        mats[1, 2, 4, 1] = 99.0
+        assert stack[1, 2, 1, 1, 1] == 99.0
+        with pytest.raises(ValueError):
+            patch_to_matrix(np.zeros((3, 3)))
+
 
 class TestScatterBlocks:
     @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
