@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(kind: type, minimum: float, maximum: float | None = None):
-    """Parser of one int or float value: at least `minimum`, at most any `maximum`."""
+    """Parser of one finite int or float: at least `minimum`, at most any `maximum`."""
     noun = "integer value" if kind is int else "number"
 
     def parse(text: str):
@@ -49,6 +49,8 @@ def _number(kind: type, minimum: float, maximum: float | None = None):
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {noun}: {text!r}") from None
+        if not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{value} is not finite")
         if maximum is None and value < minimum:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
         if maximum is not None and not minimum <= value <= maximum:

@@ -184,8 +184,9 @@ def godec(
     for it in range(1, max_iter + 1):
         factors = truncated_svd(mat - sparse, rank)
         low_rank = factors.matrix()
-        sparse = _keep_largest(mat - low_rank, sparse_count)
-        res = float(np.linalg.norm(mat - low_rank - sparse))
+        residual = mat - low_rank
+        sparse = _keep_largest(residual, sparse_count)
+        res = float(np.linalg.norm(residual - sparse))
         history.append(res)
         if sparse_count == 0 or prev - res <= tol * max(scale, 1.0):
             converged = True
@@ -194,7 +195,7 @@ def godec(
 
     assert factors is not None
     return GodecResult(
-        low_rank=factors.matrix(),
+        low_rank=low_rank,
         sparse=sparse,
         factors=factors,
         iterations=it,

@@ -33,8 +33,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma0 < 0:
-            raise ValueError(f"sigma0 must be >= 0, got {self.sigma0}")
+        if not 0 <= self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
         if not 0.0 <= self.impulse_ratio <= 1.0:
             raise ValueError(
                 f"impulse_ratio must be in [0, 1], got {self.impulse_ratio}"

@@ -46,8 +46,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.solver not in _SOLVERS:
             raise ValueError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
-        if self.sigma0 < 0:
-            raise ValueError(f"sigma0 must be >= 0, got {self.sigma0}")
+        if not 0 <= self.sigma0 < np.inf:
+            raise ValueError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.tol <= 0:
@@ -162,7 +162,7 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
             # next() rather than enumerate(), whose reused result tuple
             # would keep the previous row alive while the next is fitted.
             approx, capped = next(rows)
-            _scatter_blocks(acc, approx[None], ro[i:i + 1], co)
+            _scatter_blocks(acc, approx, int(ro[i]), co)
             stalled += capped
             del approx
     if stalled:

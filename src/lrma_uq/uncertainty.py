@@ -1,16 +1,14 @@
 """Closed-form uncertainty of sliding-window low-rank fits: the per-voxel
 variance of the window average under the leverage-split model
 (`aggregate_variance`, the one route `denoise_with_uq` takes) and the
-shared-footprint correlation of two windows."""
+shared-footprint correlation of two windows, which factorises by axis."""
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
 from .cube import HsiCube
-from .windows import Origin, PatchGrid, _cover_indicator, _scatter_blocks
+from .windows import Origin, PatchGrid, _cover_indicator
 
 
 def overlap_ratio(origin_p: Origin, origin_q: Origin, patch_side: int) -> float:
@@ -29,70 +27,41 @@ def overlap_ratio(origin_p: Origin, origin_q: Origin, patch_side: int) -> float:
     return ((patch_side - dr) * (patch_side - dc)) / float(patch_side * patch_side)
 
 
-def _runs(vals: np.ndarray) -> Iterable[tuple[int, int, int]]:
-    """Contiguous runs of equal value: yields (start, stop, value)."""
-    vals = vals.tolist()  # Python ints compare far faster than numpy scalars
-    b = 0
-    for k in range(1, len(vals) + 1):
-        if k == len(vals) or vals[k] != vals[b]:
-            yield b, k, vals[b]
-            b = k
+def _slots(extent: int, origins: np.ndarray, patch_side: int) -> tuple:
+    """Slot table of one axis: for each pixel, the indices of the a covering
+    origins (padded by repeating the last one), the pixel's offset inside
+    each, a 1/0 real-slot mask, and the (extent, a, a) per-axis overlap
+    fractions (J - |d|) / J of distinct slots."""
+    cover = _cover_indicator(extent, origins, patch_side)
+    count = cover.sum(axis=1).astype(np.int64)[:, None]
+    slot = np.arange(int(count.max()))
+    index = cover.argmax(axis=1)[:, None] + np.minimum(slot, count - 1)
+    start = origins[index]
+    offset = np.arange(extent)[:, None] - start
+    rho = (patch_side - np.abs(start[:, :, None] - start[:, None, :])) / patch_side
+    rho[:, slot, slot] = 0.0  # a slot paired with itself is a p = q term
+    return index, offset, (slot < count).astype(np.float64), rho
 
 
-def _add_cross_terms(num: np.ndarray, stds: np.ndarray, grid: PatchGrid) -> None:
-    """Accumulate 2 * corr * sigma_p * sigma_q over unordered window pairs.
-
-    Pairs are grouped by their relative origin offset; within a group the
-    shared region is a fixed slice of both patches and the correlation is a
-    single constant, so the whole group multiplies and scatters at once.
-    """
-    jside = grid.config.patch_side
-    ro, co = grid.row_origins, grid.col_origins
-    nr, nc = ro.size, co.size
-    inv_area = 1.0 / (jside * jside)
-    # Origins strictly increase, so the smallest spacing between origins d
-    # apart grows with d: only column offsets |dj| < reach can overlap.
-    reach = next((d for d in range(1, nc) if int((co[d:] - co[:nc - d]).min()) >= jside), nc)
-    scratch = None  # one product buffer reused by every offset group
-    for di in range(nr):
-        drs = ro[di:] - ro[:nr - di]
-        if di and int(drs.min()) >= jside:
-            break
-        for dj in range(1 - reach, reach):
-            if di == 0 and dj <= 0:
-                continue  # count each unordered pair once
-            pj0 = max(0, -dj)
-            pj1 = nc - max(0, dj)
-            dcs = co[pj0 + dj:pj1 + dj] - co[pj0:pj1]
-            for ib, ie, dr in _runs(drs):
-                if dr >= jside:
-                    continue
-                h = jside - dr
-                for jb, je, dc in _runs(dcs):
-                    adc = abs(dc)
-                    if adc >= jside:
-                        continue
-                    w = jside - adc
-                    scale = 2.0 * ((jside - dr) * (jside - adc)) * inv_area
-                    pi = slice(ib, ie)
-                    qi = slice(ib + di, ie + di)
-                    pj = slice(pj0 + jb, pj0 + je)
-                    qj = slice(pj0 + jb + dj, pj0 + je + dj)
-                    pr, qr = slice(dr, jside), slice(0, h)
-                    if dc >= 0:
-                        pc, qc = slice(adc, jside), slice(0, w)
-                    else:
-                        pc, qc = slice(0, w), slice(adc, jside)
-                    if scratch is None:
-                        scratch = np.empty_like(stds)
-                    blocks = scratch[:ie - ib, :je - jb, :h, :w, :]
-                    np.multiply(
-                        stds[pi, pj, pr, pc, :], stds[qi, qj, qr, qc, :], out=blocks
-                    )
-                    blocks *= scale
-                    dest_rows = ro[qi]
-                    dest_cols = co[qj] if dc >= 0 else co[pj]
-                    _scatter_blocks(num, blocks, dest_rows, dest_cols)
+def _spatial_plane(lev: np.ndarray, s2: float, rows: tuple, cols: tuple) -> np.ndarray:
+    """(M, N) plane of sum_{p,q} rho_pq sqrt(s2 lu_p * s2 lu_q) over covering
+    windows, from the (rows, cols, J, J) row leverages and the axes' slots."""
+    (r_idx, r_off, r_real, rho_r), (c_idx, c_off, c_real, rho_c) = rows, cols
+    # (M, a, b, N): s2 * lu of row slot k, column slot l at (x, y); 0 on padding.
+    var = lev[r_idx[:, :, None, None], np.ascontiguousarray(c_idx.T),
+              r_off[:, :, None, None], np.ascontiguousarray(c_off.T)]
+    var *= s2 * r_real[:, :, None, None]
+    var *= c_real.T
+    plane = var.sum(axis=(1, 2))  # the p = q terms, before any square root
+    std = np.sqrt(var, out=var)
+    for l in range(std.shape[2]):
+        # Column slot l with itself (row slots k' != k), then with each later one, twice.
+        rs_l = np.matmul(rho_r, std[:, :, l])
+        plane += np.einsum("xky,xky->xy", std[:, :, l], rs_l)
+        rs_l += std[:, :, l]  # rho_r is 1 at k' = k when the column slots differ
+        for m in range(l + 1, std.shape[2]):
+            plane += 2 * rho_c[:, l, m] * np.einsum("xky,xky->xy", std[:, :, m], rs_l)
+    return plane
 
 
 def aggregate_variance(
@@ -110,11 +79,13 @@ def aggregate_variance(
         var = sigma0^2 / phi^2 * [sum_{p,q} rho_pq sqrt(lu_p lu_q)
                                   + (sum_p sqrt(lv_p))^2]
 
-    The first term aggregates sigma0^2 * lu by rho_pq on a one-band plane,
-    broadcast over the bands. In the second, sqrt(lv_p) is constant over
-    window p's pixels, so the sum over covering windows is a box sum over
-    window origins that separates by axis: two products with the
-    pixel-in-window indicator matrices of the row and column origins. With
+    The covering windows are the cross product of the a row origins and the
+    b column origins covering the pixel, and rho = rho_r * rho_c with
+    rho_r = (J - |drow|) / J, so the first term is the quadratic form
+    vec(S)^T (R_x kron C_y) vec(S) of the a x b stds S = sqrt(sigma0^2 lu)
+    of those windows at the pixel, on one plane broadcast over the bands.
+    The second is a box sum of sqrt(lv_p) over window origins that separates
+    by axis into two products with pixel-in-window indicator matrices. With
     one window per voxel this is sigma0^2 * (lu + lv).
 
     row_lev is (len(grid), J*J) and col_lev is (len(grid), P), both
@@ -132,16 +103,13 @@ def aggregate_variance(
         raise ValueError("negative leverage")
     s2 = sigma0 * sigma0
     ro, co = grid.row_origins, grid.col_origins
-    spatial_var = (s2 * row_lev).reshape(ro.size, co.size, jside, jside, 1)
-    spatial = np.zeros((m, n, 1), dtype=np.float64)
-    _scatter_blocks(spatial, spatial_var, ro, co)
-    _add_cross_terms(spatial, np.sqrt(spatial_var, out=spatial_var), grid)
-    del spatial_var  # free the window stack before the cube-sized sum below
+    spatial = _spatial_plane(row_lev.reshape(ro.size, co.size, jside, jside), s2,
+                             _slots(m, ro, jside), _slots(n, co, jside))
     roots = np.sqrt(s2 * col_lev).reshape(ro.size, co.size * p)
     by_row = (_cover_indicator(m, ro, jside) @ roots).reshape(m, co.size, p)
     out = np.matmul(_cover_indicator(n, co, jside), by_row)
     np.square(out, out=out)
-    out += spatial
+    out += spatial[:, :, None]
     np.divide(out, grid.coverage.data, out=out)
     np.divide(out, grid.coverage.data, out=out)
     return HsiCube(out, copy=False)

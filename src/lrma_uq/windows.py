@@ -39,8 +39,8 @@ class WindowConfig:
             )
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.sparse_card < 0:
-            raise ValueError(f"sparse_card must be >= 0, got {self.sparse_card}")
+        if not 0 <= self.sparse_card < np.inf:
+            raise ValueError(f"sparse_card must be finite and >= 0, got {self.sparse_card}")
 
     def validate_for(self, dims: tuple[int, int, int]) -> None:
         """Check the window against concrete cube dims."""
@@ -159,45 +159,34 @@ def _uniform_step(starts: np.ndarray) -> int | None:
     return d if all(b - a == d for a, b in zip(s, s[1:])) else None
 
 
-def _scatter_blocks(acc: np.ndarray, blocks: np.ndarray,
-                    row_starts: np.ndarray, col_starts: np.ndarray) -> None:
-    """acc[r:r+h, c:c+w, :] += blocks[i, j] over the (row, col) start grid.
+def _scatter_blocks(acc: np.ndarray, blocks: np.ndarray, row: int,
+                    col_starts: np.ndarray) -> None:
+    """acc[row:row+h, c:c+w, :] += blocks[j] for each column start c.
 
-    When starts are uniformly spaced, each axis is thinned to every g-th
-    start (g = ceil(block extent / spacing)) so the strided destination
-    views are disjoint and a single in-place add per thinned group is safe.
-    The views are built straight on acc's buffer, so acc must be
-    C-contiguous for them; non-uniform spacings and any other acc fall back
-    to a per-block loop.
+    When starts are uniformly spaced, they are thinned to every g-th start
+    (g = ceil(block width / spacing)) so the strided destination views are
+    disjoint and a single in-place add per thinned group is safe. The views
+    are built straight on acc's buffer, so acc must be C-contiguous for
+    them; non-uniform spacings and any other acc fall back to a per-block
+    loop.
     """
-    ni, nj, h, w, _ = blocks.shape
-    sr = _uniform_step(row_starts)
+    nj, h, w, _ = blocks.shape
     sc = _uniform_step(col_starts)
-    gr = 1 if ni == 1 else (None if sr is None else -(-h // sr))
     gc = 1 if nj == 1 else (None if sc is None else -(-w // sc))
-    if gr is None or gc is None or not acc.flags.c_contiguous:
-        for i in range(ni):
-            r = int(row_starts[i])
-            for j in range(nj):
-                c = int(col_starts[j])
-                acc[r:r + h, c:c + w, :] += blocks[i, j]
+    if gc is None or not acc.flags.c_contiguous:
+        for j in range(nj):
+            c = int(col_starts[j])
+            acc[row:row + h, c:c + w, :] += blocks[j]
         return
     es0, es1, es2 = acc.strides
-    for oi in range(min(gr, ni)):
-        rsub = row_starts[oi::gr]
-        for oj in range(min(gc, nj)):
-            csub = col_starts[oj::gc]
-            sub = blocks[oi::gr, oj::gc]
-            view = np.ndarray(
-                sub.shape, acc.dtype, buffer=acc,
-                offset=int(rsub[0]) * es0 + int(csub[0]) * es1,
-                strides=(
-                    (sr * gr * es0) if sub.shape[0] > 1 else 0,
-                    (sc * gc * es1) if sub.shape[1] > 1 else 0,
-                    es0, es1, es2,
-                ),
-            )
-            view += sub
+    for oj in range(min(gc, nj)):
+        sub = blocks[oj::gc]
+        view = np.ndarray(
+            sub.shape, acc.dtype, buffer=acc,
+            offset=int(row) * es0 + int(col_starts[oj]) * es1,
+            strides=((sc * gc * es1) if sub.shape[0] > 1 else 0, es0, es1, es2),
+        )
+        view += sub
 
 
 def aggregate_mean(
@@ -225,8 +214,7 @@ def aggregate_mean(
         raise ValueError(f"patches at origins {misshapen[:5]} are not of shape {shape}")
 
     acc = np.zeros(grid.dims, dtype=np.float64)
-    for i, r in enumerate(grid.row_origins):
+    for r in grid.row_origins:
         row = np.stack([by_origin[(int(r), int(c))] for c in grid.col_origins])
-        _scatter_blocks(acc, row[None].astype(np.float64, copy=False),
-                        grid.row_origins[i:i + 1], grid.col_origins)
+        _scatter_blocks(acc, row.astype(np.float64, copy=False), int(r), grid.col_origins)
     return hadamard_divide(HsiCube(acc, copy=False), grid.coverage)

@@ -253,6 +253,27 @@ def test_range_checked_value_is_one_usage_error_line(
         assert not (tmp_path / "o.hsic").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("denoise", "--sigma0", "nan"),
+    ("denoise", "--sigma0", "inf"),
+    ("denoise", "--sparse-card", "inf"),
+    ("denoise", "--sparse-card", "nan"),
+    ("noise", "--sigma0", "nan"),
+])
+def test_non_finite_number_is_one_usage_error_line(capsys, tmp_path, command, flag, value):
+    # Rejected by the parser, before any fit runs or any file is written.
+    clean = make_clean(capsys, tmp_path)
+    out = tmp_path / "o.hsic"
+    argv = [command, "--in", str(clean), "--out", str(out), "--sigma0=0.05"]
+    if command == "denoise":
+        argv += [*SMALL_WINDOW, "--variance-out", str(tmp_path / "v.hsic")]
+    argv.append(f"{flag}={value}")
+    code, stdout, err = main(argv), *capsys.readouterr()
+    assert code == 2 and stdout == ""
+    assert err == f"error: argument {flag}: {value} is not finite\n"
+    assert not out.exists() and not (tmp_path / "v.hsic").exists()
+
+
 class TestRuntimeErrors:
     def test_missing_input_file_is_one_error_line(self, capsys, tmp_path):
         code, err = run(capsys, "denoise", "--in", str(tmp_path / "nope.hsic"),

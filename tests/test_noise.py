@@ -28,6 +28,11 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="sigma0"):
             NoiseSpec(-0.1)
 
+    @pytest.mark.parametrize("sigma0", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma0):
+        with pytest.raises(ValueError, match="sigma0 must be finite"):
+            NoiseSpec(sigma0)
+
     def test_ratio_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="impulse_ratio"):
             NoiseSpec(0.1, impulse_ratio=1.5)

@@ -66,6 +66,11 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=fragment):
             PipelineConfig(**kwargs)
 
+    @pytest.mark.parametrize("sigma0", [float("nan"), float("inf")])
+    def test_rejects_non_finite_sigma0(self, sigma0):
+        with pytest.raises(ValueError, match="sigma0 must be finite"):
+            PipelineConfig(sigma0=sigma0)
+
 
 class TestDenoise:
     def test_clean_lowrank_cube_is_recovered_exactly(self):

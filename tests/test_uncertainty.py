@@ -155,6 +155,38 @@ class TestAggregateVariance:
         oracle = brute_force_variance(row_lev, col_lev, grid, 0.7)
         np.testing.assert_allclose(out.data, oracle, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("dims, side, step", [
+        # One column origin but five row origins: slot counts differ by axis.
+        ((12, 5, 2), 5, 2),
+        # Step 1: J row and J column origins cover each interior pixel.
+        ((9, 8, 2), 3, 1),
+    ])
+    def test_matches_brute_force_on_slot_geometries(self, dims, side, step):
+        rng = np.random.default_rng(47)
+        grid = enumerate_patches(dims, WindowConfig(patch_side=side, step=step, rank=1))
+        row_lev, col_lev = random_leverages(rng, grid)
+        out = aggregate_variance(row_lev, col_lev, grid, 0.7)
+        oracle = brute_force_variance(row_lev, col_lev, grid, 0.7)
+        np.testing.assert_allclose(out.data, oracle, rtol=1e-12, atol=1e-14)
+
+    def test_singly_covered_corners_are_exact(self):
+        # On an overlapping grid the four corner pixels lie in one window
+        # each, so their spatial part is exactly that window's sigma0^2 * lu,
+        # with no square root taken and undone (the spectral part is the
+        # square of its single root, as on a tiling).
+        rng = np.random.default_rng(49)
+        grid = enumerate_patches((10, 10, 3), WindowConfig(patch_side=4, step=2, rank=1))
+        row_lev, col_lev = random_leverages(rng, grid)
+        out = aggregate_variance(row_lev, col_lev, grid, 0.7)
+        index = {o: k for k, o in enumerate(grid.origins)}
+        s2 = 0.7 * 0.7
+        for row, col in ((0, 0), (0, 9), (9, 0), (9, 9)):
+            (origin,) = grid.covering_origins(row, col)
+            k = index[origin]
+            lu = row_lev[k, (row - origin[0]) * 4 + (col - origin[1])]
+            expected = s2 * lu + np.sqrt(s2 * col_lev[k]) ** 2
+            np.testing.assert_array_equal(out.data[row, col], expected)
+
     def test_full_mode_with_equal_variance_is_exact(self):
         # The spectral part is fully correlated: equal copies of it must
         # yield exactly the single-window variance, since averaging adds

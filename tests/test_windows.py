@@ -43,6 +43,11 @@ class TestWindowConfig:
         with pytest.raises(ValueError):
             WindowConfig(**kwargs)
 
+    @pytest.mark.parametrize("sparse_card", [float("nan"), float("inf")])
+    def test_non_finite_sparse_card_rejected(self, sparse_card):
+        with pytest.raises(ValueError, match="sparse_card must be finite"):
+            WindowConfig(sparse_card=sparse_card)
+
     def test_validate_for_rejects_oversized_window(self):
         with pytest.raises(ValueError, match="patch_side"):
             WindowConfig(patch_side=8, step=4).validate_for((6, 10, 5))
@@ -185,7 +190,8 @@ class TestScatterBlocks:
             acc = np.zeros(dims, order="F")
         else:
             acc = np.zeros(dims[:2] + (2 * dims[2],))[:, :, ::2]
-        _scatter_blocks(acc, blocks, rows, cols)
+        for i, r in enumerate(rows):
+            _scatter_blocks(acc, blocks[i], int(r), cols)
         np.testing.assert_allclose(acc, oracle, rtol=0, atol=1e-12)
 
 
