@@ -74,7 +74,7 @@ def _dims(text: str) -> tuple[int, int, int]:
 
 
 def _list_of(kind: type):
-    """Parser of a non-empty comma-separated list of `kind` values."""
+    """Parser of a non-empty comma-separated list of finite `kind` values."""
     noun = "integers" if kind is int else "numbers"
 
     def parse(text: str) -> list:
@@ -84,6 +84,9 @@ def _list_of(kind: type):
             raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
         if not values:
             raise argparse.ArgumentTypeError("list must not be empty")
+        for value in values:
+            if not np.isfinite(value):
+                raise argparse.ArgumentTypeError(f"{value} is not finite")
         return values
 
     return parse

@@ -3,6 +3,8 @@
 A cube holds M x N spatial pixels by P spectral bands as float64. Indexing
 is always (row, col, band). Patches are full-band sub-cubes, extracted and
 re-deposited by the operations below; every other module builds on these.
+`scatter_add_patch` is the one scatter path: the pipeline and
+`aggregate_mean` add every window into their accumulator through it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ class HsiCube:
     The wrapped array is stored with shape (M, N, P). Inputs of any real
     dtype are widened to float64 on ingest; non-finite values are rejected.
     Treat a cube as immutable once shared: only `scatter_add_patch` mutates,
-    and only accumulators that the caller owns exclusively.
+    and only accumulators that the caller owns exclusively. An accumulator
+    may wrap an array of any memory layout (C, Fortran or strided).
     """
 
     __slots__ = ("data",)

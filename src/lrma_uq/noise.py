@@ -85,8 +85,8 @@ def add_gaussian(cube: HsiCube, sigma0: float, seed: int) -> HsiCube:
     Values are deliberately not clipped back into [0, 1]: clipping would
     truncate the noise distribution and bias any downstream variance model.
     """
-    if sigma0 < 0:
-        raise ValueError(f"sigma0 must be >= 0, got {sigma0}")
+    if not 0 <= sigma0 < np.inf:
+        raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
     if sigma0 == 0:
         return cube.copy()
     rng = _generator(seed, _STREAM_GAUSSIAN)

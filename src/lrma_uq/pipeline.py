@@ -13,10 +13,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import blas
-from .cube import HsiCube, hadamard_divide
+from .cube import HsiCube, VoxelIndex, hadamard_divide, scatter_add_patch
 from .lowrank import godec, truncated_svd_batch
 from .uncertainty import aggregate_variance
-from .windows import WindowConfig, _scatter_blocks, enumerate_patches, patch_to_matrix
+from .windows import WindowConfig, enumerate_patches, patch_to_matrix
 
 _log = logging.getLogger(__name__)
 
@@ -133,10 +133,11 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     """Fit every window and average the fits: (grid, mean, row_lev, col_lev).
 
     Windows are fitted one origin row at a time, with numpy's OpenBLAS held
-    at one thread, and each row is scatter-added as it arrives, in
-    canonical order, so no stack of all windows is ever held. The rows do
-    not depend on the worker count, so neither do the output bytes. The
-    leverages are in grid.origins order, or None when not asked for.
+    at one thread. As each row arrives its windows are added one at a time
+    through `scatter_add_patch`, in grid.origins (sorted-origin) order, so
+    no stack of all windows is ever held and every voxel's sum runs in the
+    same order for any worker count. The leverages are in grid.origins
+    order, or None when not asked for.
     """
     grid = enumerate_patches(cube.dims, cfg.window)
     jside = cfg.window.patch_side
@@ -154,21 +155,23 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
                         None if row_lev is None else row_lev[i],
                         None if col_lev is None else col_lev[i])
 
-    acc = np.zeros(cube.dims, dtype=np.float64)
+    acc = HsiCube.zeros(cube.dims)
     stalled = 0
     with blas._one_thread():
         rows = _ordered(fit, ro.size, cfg.threads)
-        for i in range(ro.size):
+        for r in ro.tolist():
             # next() rather than enumerate(), whose reused result tuple
-            # would keep the previous row alive while the next is fitted.
+            # would keep the previous row alive while the next is fitted;
+            # `block` is deleted too, as it is a view of the row.
             approx, capped = next(rows)
-            _scatter_blocks(acc, approx, int(ro[i]), co)
+            for c, block in zip(co.tolist(), approx):
+                scatter_add_patch(acc, VoxelIndex(r, c, 0), block)
             stalled += capped
-            del approx
+            del approx, block
     if stalled:
         _log.warning("%d of %d patches hit the iteration cap before converging",
                      stalled, len(grid))
-    mean = hadamard_divide(HsiCube(acc, copy=False), grid.coverage)
+    mean = hadamard_divide(acc, grid.coverage)
     if not leverage:
         return grid, mean, None, None
     return grid, mean, row_lev.reshape(len(grid), -1), col_lev.reshape(len(grid), -1)

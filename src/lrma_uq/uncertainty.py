@@ -110,6 +110,6 @@ def aggregate_variance(
     out = np.matmul(_cover_indicator(n, co, jside), by_row)
     np.square(out, out=out)
     out += spatial[:, :, None]
-    np.divide(out, grid.coverage.data, out=out)
-    np.divide(out, grid.coverage.data, out=out)
+    phi = grid.coverage.data[:, :, :1]
+    np.divide(out, phi * phi, out=out)
     return HsiCube(out, copy=False)

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cube import HsiCube, hadamard_divide
+from .cube import HsiCube, VoxelIndex, hadamard_divide, scatter_add_patch
 
 Origin = tuple[int, int]
 
@@ -150,55 +150,16 @@ def patch_to_matrix(patch: np.ndarray) -> np.ndarray:
     return patch.reshape(*lead, h * w, p)
 
 
-def _uniform_step(starts: np.ndarray) -> int | None:
-    """The common spacing of `starts`, or None if the spacing varies."""
-    if starts.size < 2:
-        return None
-    s = starts.tolist()  # a handful of origins: Python beats array calls here
-    d = s[1] - s[0]
-    return d if all(b - a == d for a, b in zip(s, s[1:])) else None
-
-
-def _scatter_blocks(acc: np.ndarray, blocks: np.ndarray, row: int,
-                    col_starts: np.ndarray) -> None:
-    """acc[row:row+h, c:c+w, :] += blocks[j] for each column start c.
-
-    When starts are uniformly spaced, they are thinned to every g-th start
-    (g = ceil(block width / spacing)) so the strided destination views are
-    disjoint and a single in-place add per thinned group is safe. The views
-    are built straight on acc's buffer, so acc must be C-contiguous for
-    them; non-uniform spacings and any other acc fall back to a per-block
-    loop.
-    """
-    nj, h, w, _ = blocks.shape
-    sc = _uniform_step(col_starts)
-    gc = 1 if nj == 1 else (None if sc is None else -(-w // sc))
-    if gc is None or not acc.flags.c_contiguous:
-        for j in range(nj):
-            c = int(col_starts[j])
-            acc[row:row + h, c:c + w, :] += blocks[j]
-        return
-    es0, es1, es2 = acc.strides
-    for oj in range(min(gc, nj)):
-        sub = blocks[oj::gc]
-        view = np.ndarray(
-            sub.shape, acc.dtype, buffer=acc,
-            offset=int(row) * es0 + int(col_starts[oj]) * es1,
-            strides=((sc * gc * es1) if sub.shape[0] > 1 else 0, es0, es1, es2),
-        )
-        view += sub
-
-
 def aggregate_mean(
     denoised_patches: Iterable[tuple[Origin, np.ndarray]] | Sequence[tuple[Origin, np.ndarray]],
     grid: PatchGrid,
 ) -> HsiCube:
     """Average overlapping denoised patches into a full cube.
 
-    Patches are scatter-added one origin row at a time, in canonical
-    (sorted-origin) order, and the sum is divided element-wise by the
-    coverage counts, so every voxel is the mean of the windows covering it.
-    The patch set must match the grid.
+    Patches are added one at a time through `scatter_add_patch`, in
+    grid.origins (sorted-origin) order whatever the order given, and the sum
+    is divided element-wise by the coverage counts, so every voxel is the
+    mean of the windows covering it. The patch set must match the grid.
     """
     by_origin = {origin: patch for origin, patch in denoised_patches}
     missing = [o for o in grid.origins if o not in by_origin]
@@ -213,8 +174,7 @@ def aggregate_mean(
     if misshapen:
         raise ValueError(f"patches at origins {misshapen[:5]} are not of shape {shape}")
 
-    acc = np.zeros(grid.dims, dtype=np.float64)
-    for r in grid.row_origins:
-        row = np.stack([by_origin[(int(r), int(c))] for c in grid.col_origins])
-        _scatter_blocks(acc, row.astype(np.float64, copy=False), int(r), grid.col_origins)
-    return hadamard_divide(HsiCube(acc, copy=False), grid.coverage)
+    acc = HsiCube.zeros(grid.dims)
+    for r, c in grid.origins:
+        scatter_add_patch(acc, VoxelIndex(r, c, 0), by_origin[(r, c)])
+    return hadamard_divide(acc, grid.coverage)

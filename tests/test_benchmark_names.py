@@ -6,8 +6,9 @@ function of every `lrma_uq` module under its module's name and reads each
 metric by key, so a pinned function that is deleted or made private, or a
 new module with a public function, breaks every traced run. These tests
 read only BENCHMARK.json and the package, and check that the pipeline's
-variance runs through the pinned `aggregate_variance` and its windows are
-shaped by the pinned `patch_to_matrix`.
+variance runs through the pinned `aggregate_variance`, its windows are
+shaped by the pinned `patch_to_matrix` and deposited by the pinned
+`scatter_add_patch`.
 """
 
 import importlib
@@ -17,6 +18,7 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lrma_uq
 from lrma_uq import HsiCube, PipelineConfig, WindowConfig, denoise, denoise_with_uq, pipeline
@@ -81,6 +83,26 @@ def test_pipeline_variance_goes_through_pinned_function(monkeypatch):
     cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), sigma0=0.1, solver="tsvd")
     denoise_with_uq(cube, cfg)
     assert calls == [(4, {})]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pipeline_windows_go_through_pinned_scatter(monkeypatch, threads):
+    # `cube.scatter_add_patch` is pinned by call count: the pipeline adds
+    # every fitted window with it, once per window, in grid.origins order.
+    calls = []
+    real = pipeline.scatter_add_patch
+
+    def spy(acc, origin, patch):
+        calls.append(tuple(origin))
+        return real(acc, origin, patch)
+
+    monkeypatch.setattr(pipeline, "scatter_add_patch", spy)
+    cube = HsiCube(np.random.default_rng(0).uniform(size=(10, 8, 3)))
+    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), solver="tsvd",
+                         threads=threads)
+    denoise(cube, cfg)
+    grid = pipeline.enumerate_patches(cube.dims, cfg.window)
+    assert calls == [(r, c, 0) for r, c in grid.origins]
 
 
 def test_pipeline_windows_go_through_pinned_reshape(monkeypatch):

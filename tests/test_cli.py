@@ -259,18 +259,25 @@ def test_range_checked_value_is_one_usage_error_line(
     ("denoise", "--sparse-card", "inf"),
     ("denoise", "--sparse-card", "nan"),
     ("noise", "--sigma0", "nan"),
+    ("sweep impulse", "--sigma0-grid", "0.05,nan"),
+    ("sweep impulse", "--sigma0-grid", "inf"),
+    ("sweep impulse", "--ratio-grid", "nan"),
 ])
 def test_non_finite_number_is_one_usage_error_line(capsys, tmp_path, command, flag, value):
     # Rejected by the parser, before any fit runs or any file is written.
     clean = make_clean(capsys, tmp_path)
     out = tmp_path / "o.hsic"
-    argv = [command, "--in", str(clean), "--out", str(out), "--sigma0=0.05"]
+    if command == "sweep impulse":
+        # Its --clean names no file, so only the parser can give exit 2.
+        argv = [*_VALID[command]]
+    else:
+        argv = [command, "--in", str(clean), "--out", str(out), "--sigma0=0.05"]
     if command == "denoise":
         argv += [*SMALL_WINDOW, "--variance-out", str(tmp_path / "v.hsic")]
     argv.append(f"{flag}={value}")
     code, stdout, err = main(argv), *capsys.readouterr()
     assert code == 2 and stdout == ""
-    assert err == f"error: argument {flag}: {value} is not finite\n"
+    assert err == f"error: argument {flag}: {value.split(',')[-1]} is not finite\n"
     assert not out.exists() and not (tmp_path / "v.hsic").exists()
 
 

@@ -149,6 +149,28 @@ class TestScatterAddPatch:
         scatter_add_patch(acc, origin, patch)
         np.testing.assert_array_equal(acc.data, expected)
 
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
+    def test_any_accumulator_layout(self, layout):
+        # Every window lands in place whatever the accumulator's memory
+        # layout, with the sums of a plain slice-add loop.
+        rng = np.random.default_rng(4)
+        dims, side = (14, 17, 3), 5
+        origins = [(r, c) for r in (0, 3, 6, 9) for c in (0, 4, 8, 12)]
+        patches = rng.normal(size=(len(origins), side, side, dims[2]))
+        oracle = np.zeros(dims)
+        for (r, c), patch in zip(origins, patches):
+            oracle[r:r + side, c:c + side] += patch
+        data = {
+            "c": np.zeros(dims),
+            "fortran": np.zeros(dims, order="F"),
+            "strided": np.zeros(dims[:2] + (2 * dims[2],))[:, :, ::2],
+        }[layout]
+        acc = HsiCube(data, copy=False)
+        assert acc.data is data
+        for (r, c), patch in zip(origins, patches):
+            scatter_add_patch(acc, VoxelIndex(r, c, 0), patch)
+        np.testing.assert_array_equal(acc.data, oracle)
+
     def test_out_of_bounds_rejected(self):
         acc = HsiCube.zeros((3, 3, 1))
         with pytest.raises(ValueError, match="exceeds"):

@@ -15,6 +15,7 @@ from lrma_uq import (
     patch_to_matrix,
     synth_lowrank_cube,
     VoxelIndex,
+    noise,
 )
 
 
@@ -114,6 +115,13 @@ class TestAddGaussian:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma0"):
             add_gaussian(HsiCube.zeros((2, 2, 2)), -0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma0", [float("nan"), float("inf")])
+    def test_non_finite_sigma_rejected_before_drawing(self, sigma0, monkeypatch):
+        # The check and message are NoiseSpec's, made before any draw.
+        monkeypatch.setattr(noise, "_generator", lambda *a: pytest.fail("noise drawn"))
+        with pytest.raises(ValueError, match=f"^sigma0 must be finite and >= 0, got {sigma0}$"):
+            add_gaussian(HsiCube.zeros((2, 2, 2)), sigma0, seed=0)
 
 
 class TestAddImpulse:

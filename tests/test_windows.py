@@ -11,9 +11,10 @@ from lrma_uq import (
     aggregate_mean,
     enumerate_patches,
     extract_patch,
+    hadamard_divide,
     patch_to_matrix,
+    scatter_add_patch,
 )
-from lrma_uq.windows import _scatter_blocks
 
 
 def brute_force_coverage(dims, origins, patch_side):
@@ -170,31 +171,6 @@ class TestPatchMatrixReshaping:
             patch_to_matrix(np.zeros((3, 3)))
 
 
-class TestScatterBlocks:
-    @pytest.mark.parametrize("layout", ["c", "fortran", "strided"])
-    def test_matches_per_block_loop(self, layout):
-        # The grouped views are built on acc's buffer; any acc that is not
-        # C-contiguous takes the per-block loop. Either way every block
-        # lands in place.
-        rng = np.random.default_rng(4)
-        dims, side = (14, 17, 3), 5
-        rows, cols = np.array([0, 3, 6, 9]), np.array([0, 4, 8, 12])
-        blocks = rng.normal(size=(rows.size, cols.size, side, side, dims[2]))
-        oracle = np.zeros(dims)
-        for i, r in enumerate(rows):
-            for j, c in enumerate(cols):
-                oracle[r:r + side, c:c + side] += blocks[i, j]
-        if layout == "c":
-            acc = np.zeros(dims)
-        elif layout == "fortran":
-            acc = np.zeros(dims, order="F")
-        else:
-            acc = np.zeros(dims[:2] + (2 * dims[2],))[:, :, ::2]
-        for i, r in enumerate(rows):
-            _scatter_blocks(acc, blocks[i], int(r), cols)
-        np.testing.assert_allclose(acc, oracle, rtol=0, atol=1e-12)
-
-
 class TestAggregateMean:
     def test_single_full_image_patch_identity(self):
         rng = np.random.default_rng(9)
@@ -233,6 +209,22 @@ class TestAggregateMean:
         oracle = total / brute_force_coverage(dims, grid.origins, 3)
         out = aggregate_mean(patches, grid)
         np.testing.assert_allclose(out.data, oracle, rtol=0, atol=1e-15)
+
+    def test_bit_exact_with_scatter_add_patch_in_origin_order(self):
+        # Step 2 < window 5, so each voxel's covering column windows fall in
+        # different groups of every-third origin: a grouped scatter would
+        # sum them out of origin order and round differently.
+        rng = np.random.default_rng(12)
+        dims = (15, 15, 4)
+        grid = enumerate_patches(dims, WindowConfig(patch_side=5, step=2, rank=1))
+        patches = [(o, rng.normal(size=(5, 5, 4))) for o in grid.origins]
+        acc = HsiCube.zeros(dims)
+        for (r, c), patch in patches:
+            scatter_add_patch(acc, VoxelIndex(r, c, 0), patch)
+        oracle = hadamard_divide(acc, grid.coverage)
+        # The order the patches are given in does not matter.
+        out = aggregate_mean(reversed(patches), grid)
+        np.testing.assert_array_equal(out.data, oracle.data)
 
     def test_ground_truth_patches_reproduce_cube(self):
         rng = np.random.default_rng(11)
