@@ -40,6 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _check_in_numpy_range(value) -> None:
+    """Reject a float that is not finite, or an int above numpy's largest (uint64)."""
+    if isinstance(value, float) and not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{value} is not finite")
+    if isinstance(value, int) and value > 2**64 - 1:
+        raise argparse.ArgumentTypeError(f"{value} is above the maximum {2**64 - 1}")
+
+
 def _number(kind: type, minimum: float, maximum: float | None = None):
     """Parser of one finite int or float: at least `minimum`, at most any `maximum`."""
     noun = "integer value" if kind is int else "number"
@@ -49,8 +57,7 @@ def _number(kind: type, minimum: float, maximum: float | None = None):
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {noun}: {text!r}") from None
-        if not np.isfinite(value):
-            raise argparse.ArgumentTypeError(f"{value} is not finite")
+        _check_in_numpy_range(value)
         if maximum is None and value < minimum:
             raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
         if maximum is not None and not minimum <= value <= maximum:
@@ -74,7 +81,7 @@ def _dims(text: str) -> tuple[int, int, int]:
 
 
 def _list_of(kind: type):
-    """Parser of a non-empty comma-separated list of finite `kind` values."""
+    """Parser of a non-empty comma-separated list of `kind` values numpy holds."""
     noun = "integers" if kind is int else "numbers"
 
     def parse(text: str) -> list:
@@ -85,8 +92,7 @@ def _list_of(kind: type):
         if not values:
             raise argparse.ArgumentTypeError("list must not be empty")
         for value in values:
-            if not np.isfinite(value):
-                raise argparse.ArgumentTypeError(f"{value} is not finite")
+            _check_in_numpy_range(value)
         return values
 
     return parse
@@ -121,7 +127,9 @@ def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -
     parser.add_argument("--sparse-card", type=_number(float, 0.0), default=0.0,
                         help="sparse budget: 0 disables, <1 is a fraction of "
                              "patch entries, >=1 an absolute count")
-    parser.add_argument("--solver", choices=("godec", "tsvd"), default="godec")
+    parser.add_argument("--solver", choices=("godec", "tsvd"), default="godec",
+                        help="tsvd fits without the sparse step, the same as "
+                             "--sparse-card 0 (default godec)")
     parser.add_argument("--threads", type=_number(int, 1), default=None,
                         help="worker threads, each fitting one origin row of windows "
                              "at a time with BLAS held at one thread (default: "
@@ -141,18 +149,14 @@ def _noise_spec(args: argparse.Namespace) -> NoiseSpec:
 
 
 def _pipeline_config(args: argparse.Namespace, sigma0: float, rank: int | None = None) -> PipelineConfig:
+    """The run's config; `--solver tsvd` is a zero sparse budget, the plain TSVD fit."""
     window = WindowConfig(
         patch_side=args.window,
         step=args.step,
         rank=args.rank if rank is None else rank,
-        sparse_card=args.sparse_card,
+        sparse_card=0.0 if args.solver == "tsvd" else args.sparse_card,
     )
-    return PipelineConfig(
-        window=window,
-        sigma0=sigma0,
-        solver=args.solver,
-        threads=_resolve_threads(args.threads),
-    )
+    return PipelineConfig(window=window, sigma0=sigma0, threads=_resolve_threads(args.threads))
 
 
 def _read_samples(path: str) -> np.ndarray:

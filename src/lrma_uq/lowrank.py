@@ -173,6 +173,8 @@ def godec(
         raise ValueError(f"sparse_count must be >= 0, got {sparse_count}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
 
     scale = np.linalg.norm(mat)
     sparse = np.zeros_like(mat)

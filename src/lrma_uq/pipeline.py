@@ -20,38 +20,31 @@ from .windows import WindowConfig, enumerate_patches, patch_to_matrix
 
 _log = logging.getLogger(__name__)
 
-_SOLVERS = ("godec", "tsvd")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a denoising run needs besides the cube itself.
 
-    sigma0 is the global noise std used only by the variance path. threads
-    is the number of workers that fit origin rows of windows concurrently,
-    the calling thread being one of them (1 = serial, the default here; the
-    CLI defaults to the usable cores). The fit holds numpy's OpenBLAS at
-    one thread for every worker count (see `blas._one_thread`), so the
-    workers do not oversubscribe the cores and never change the output
-    bytes.
+    The window's sparse budget alone picks the fit: zero runs the batched
+    truncated SVD, a positive budget GoDec. sigma0 is the global noise std
+    used only by the variance path. threads is the number of workers that
+    fit origin rows of windows concurrently, the calling thread being one
+    of them (1 = serial, the default here; the CLI defaults to the usable
+    cores). The fit holds numpy's OpenBLAS at one thread for every worker
+    count (see `blas._one_thread`), so the workers never oversubscribe the
+    cores or change the output bytes.
     """
 
     window: WindowConfig = WindowConfig()
     sigma0: float = 0.0
-    solver: str = "godec"
     max_iter: int = 100
-    tol: float = 1e-7
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.solver not in _SOLVERS:
-            raise ValueError(f"solver must be one of {_SOLVERS}, got {self.solver!r}")
         if not 0 <= self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
@@ -62,13 +55,13 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
 
     `windows` is the (N-J+1, P, J, J) sliding-window view of the row's
     J-pixel slab; each window becomes a (J*J) x P matrix, pixels in
-    row-major order by bands. Truncated SVD runs as one batched kernel over
-    the row; GoDec runs window by window into preallocated row arrays.
-    Writes the row and column leverages of the fit factors into the
-    (windows, J*J) `row_lev` and (windows, P) `col_lev` when given. Returns
-    the (windows, J, J, P) approximations and the count of windows that hit
-    the GoDec iteration cap. Each window's approximation overwrites its
-    `patch_to_matrix` view of the gathered, C-contiguous row.
+    row-major order by bands. A zero sparse budget fits the row with one
+    batched truncated SVD; a positive one runs GoDec window by window into
+    preallocated row arrays. Writes the row and column leverages of the fit
+    factors into the (windows, J*J) `row_lev` and (windows, P) `col_lev`
+    when given. Returns the (windows, J, J, P) approximations and the count
+    of windows that hit the GoDec iteration cap. Each window's approximation
+    overwrites its `patch_to_matrix` view of the gathered, C-contiguous row.
     """
     w = cfg.window
     n, jside, p = col_origins.size, w.patch_side, windows.shape[1]
@@ -76,14 +69,14 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
     mats = patch_to_matrix(row)
     k = w.sparse_count(jside * jside * p)
     stalled = 0
-    if cfg.solver == "tsvd" or k == 0:
+    if k == 0:
         u, s, v = truncated_svd_batch(mats, w.rank)
         np.matmul(u * s[:, None, :], np.swapaxes(v, 1, 2), out=mats)
     else:
         u = np.empty((n, jside * jside, w.rank))
         v = np.empty((n, p, w.rank))
         for i, m in enumerate(mats):
-            fit = godec(m, w.rank, k, max_iter=cfg.max_iter, tol=cfg.tol)
+            fit = godec(m, w.rank, k, max_iter=cfg.max_iter)
             m[...], u[i], v[i] = fit.low_rank, fit.factors.u, fit.factors.v
             stalled += not fit.converged
     if row_lev is not None:

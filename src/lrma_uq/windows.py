@@ -20,9 +20,9 @@ class WindowConfig:
     patch_side  -- spatial side length of the square window (default 20)
     step        -- stride between window origins (default 4)
     rank        -- target rank of the per-patch low-rank fit (default 7)
-    sparse_card -- sparse-entry budget for the solver: an absolute count
+    sparse_card -- sparse-entry budget of the fit: an absolute count
                    (int >= 1), a fraction of patch entries (0 < float < 1),
-                   or 0 to disable the sparse term (default)
+                   or 0 (default), which fits by batched TSVD, not GoDec
     """
 
     patch_side: int = 20

@@ -5,15 +5,18 @@ BENCHMARK.json lists per-layer metrics keyed by `<layer>.<fn>.calls` and
 function of every `lrma_uq` module under its module's name and reads each
 metric by key, so a pinned function that is deleted or made private, or a
 new module with a public function, breaks every traced run. These tests
-read only BENCHMARK.json and the package, and check that the pipeline's
-variance runs through the pinned `aggregate_variance`, its windows are
-shaped by the pinned `patch_to_matrix` and deposited by the pinned
-`scatter_add_patch`.
+read BENCHMARK.json, the package and the benchmark's workload table, and
+check that every scene's denoise flags still parse into a config, that the
+pipeline's variance runs through the pinned `aggregate_variance`, and that
+its windows are shaped by the pinned `patch_to_matrix` and deposited by
+the pinned `scatter_add_patch`.
 """
 
 import importlib
+import importlib.util
 import json
 import pkgutil
+import sys
 import types
 from pathlib import Path
 
@@ -21,9 +24,10 @@ import numpy as np
 import pytest
 
 import lrma_uq
-from lrma_uq import HsiCube, PipelineConfig, WindowConfig, denoise, denoise_with_uq, pipeline
+from lrma_uq import HsiCube, PipelineConfig, WindowConfig, cli, denoise, denoise_with_uq, pipeline
 
 _BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+_WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def _per_layer_names() -> list[str]:
@@ -67,6 +71,23 @@ def test_every_module_with_public_functions_is_a_layer():
     assert not unlisted, f"modules with public functions but no layer: {unlisted}"
 
 
+def test_benchmark_scene_flags_still_parse(monkeypatch):
+    # Each scene runs `denoise` with its flags through the CLI; a flag the
+    # parser no longer takes (scene-tsvd passes --solver tsvd) would fail
+    # every run of that workload.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the module prepends src/
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    scenes = [w for w in workloads.WORKLOADS.values() if isinstance(w, workloads.Scene)]
+    assert scenes
+    for scene in scenes:
+        args = cli._build_parser().parse_args(
+            ["denoise", "--in", "i", "--out", "o", *scene.denoise_flags])
+        assert isinstance(cli._pipeline_config(args, args.sigma0), PipelineConfig)
+
+
 def test_pipeline_variance_goes_through_pinned_function(monkeypatch):
     # The benchmark's annotation of `uncertainty.aggregate_variance` reads
     # its first positional argument, so the pipeline must call it once per
@@ -80,7 +101,7 @@ def test_pipeline_variance_goes_through_pinned_function(monkeypatch):
 
     monkeypatch.setattr(pipeline, "aggregate_variance", spy)
     cube = HsiCube(np.random.default_rng(0).uniform(size=(8, 8, 3)))
-    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), sigma0=0.1, solver="tsvd")
+    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), sigma0=0.1)
     denoise_with_uq(cube, cfg)
     assert calls == [(4, {})]
 
@@ -98,8 +119,7 @@ def test_pipeline_windows_go_through_pinned_scatter(monkeypatch, threads):
 
     monkeypatch.setattr(pipeline, "scatter_add_patch", spy)
     cube = HsiCube(np.random.default_rng(0).uniform(size=(10, 8, 3)))
-    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), solver="tsvd",
-                         threads=threads)
+    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), threads=threads)
     denoise(cube, cfg)
     grid = pipeline.enumerate_patches(cube.dims, cfg.window)
     assert calls == [(r, c, 0) for r, c in grid.origins]
@@ -117,6 +137,6 @@ def test_pipeline_windows_go_through_pinned_reshape(monkeypatch):
 
     monkeypatch.setattr(pipeline, "patch_to_matrix", spy)
     cube = HsiCube(np.random.default_rng(0).uniform(size=(10, 8, 3)))
-    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1), solver="tsvd")
+    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1))
     denoise(cube, cfg)
     assert calls == [(3, 4, 4, 3)] * 4

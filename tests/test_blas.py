@@ -46,7 +46,7 @@ def noisy_cube():
 
 def config(threads=1):
     return PipelineConfig(window=WindowConfig(patch_side=5, step=3, rank=3),
-                          sigma0=0.05, solver="tsvd", threads=threads)
+                          sigma0=0.05, threads=threads)
 
 
 def test_fit_runs_pinned_and_count_is_restored_after_return(openblas, monkeypatch):

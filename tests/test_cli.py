@@ -1,6 +1,7 @@
 """Command-line tests: the full subcommand chain on real files, flag
-defaults, usage errors (exit 2), runtime errors (exit 1), thread
-determinism of output bytes, and the worker-count environment variable.
+defaults, usage errors (exit 2), runtime errors (exit 1), the `--solver`
+flag, thread determinism of output bytes, and the worker-count
+environment variable.
 
 Everything drives `main(argv)` in process; files live in tmp_path.
 """
@@ -227,10 +228,22 @@ _BOUNDS = [
 ]
 
 
+# (command, int flag) given 2**64, the first int numpy cannot hold.
+_TOO_LARGE = [
+    ("denoise", "--window"),
+    ("sweep rank", "--grid"),
+    ("simulate", "--seed"),
+]
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     pytest.param(command, flag, value, message, id=f"{command} {flag}={value}")
     for command, flag, low, low_message, nan_message in _BOUNDS
     for value, message in ((low, low_message), ("x", nan_message))
+] + [
+    pytest.param(command, flag, str(2**64), f"{2**64} is above the maximum {2**64 - 1}",
+                 id=f"{command} {flag}=2**64")
+    for command, flag in _TOO_LARGE
 ])
 def test_range_checked_value_is_one_usage_error_line(
         capsys, tmp_path, monkeypatch, command, flag, value, message):
@@ -279,6 +292,40 @@ def test_non_finite_number_is_one_usage_error_line(capsys, tmp_path, command, fl
     assert code == 2 and stdout == ""
     assert err == f"error: argument {flag}: {value.split(',')[-1]} is not finite\n"
     assert not out.exists() and not (tmp_path / "v.hsic").exists()
+
+
+def test_largest_int_numpy_holds_still_parses():
+    big = str(2**64 - 1)
+    args = _build_parser().parse_args([*_VALID["denoise"], "--window", big])
+    assert args.window == 2**64 - 1
+    args = _build_parser().parse_args([*_VALID["sweep rank"], "--grid", f"1,{big}"])
+    assert args.grid == [1, 2**64 - 1]
+
+
+class TestSolverFlag:
+    def test_tsvd_solver_is_a_zero_sparse_budget(self, capsys, tmp_path):
+        # --solver tsvd fits without the sparse step whatever --sparse-card
+        # says, so it writes the bytes of a zero budget; a zero budget takes
+        # the same fit under either solver.
+        clean = make_clean(capsys, tmp_path)
+        noisy = tmp_path / "noisy.hsic"
+        run(capsys, "noise", "--in", str(clean), "--sigma0", "0.05",
+            "--impulse-ratio", "0.05", "--seed", "3", "--out", str(noisy))
+
+        def outputs(*flags):
+            out, var = tmp_path / "out.hsic", tmp_path / "var.hsic"
+            code, err = run(capsys, "denoise", "--in", str(noisy), "--out", str(out),
+                            "--variance-out", str(var), "--sigma0", "0.05",
+                            *SMALL_WINDOW, "--threads", "1", *flags)
+            assert code == 0 and err == ""
+            return out.read_bytes(), var.read_bytes()
+
+        zero = outputs("--sparse-card", "0")
+        assert outputs("--solver", "tsvd", "--sparse-card", "9") == zero
+        assert outputs("--solver", "tsvd") == zero
+        assert outputs("--solver", "godec") == zero
+        # The budget does change the fit once GoDec runs.
+        assert outputs("--solver", "godec", "--sparse-card", "9") != zero
 
 
 class TestRuntimeErrors:

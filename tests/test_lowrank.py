@@ -269,6 +269,12 @@ class TestGodec:
         with pytest.raises(ValueError, match="rank"):
             godec(np.ones((4, 4)), 9)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, float("nan")])
+    def test_tol_must_be_positive(self, tol):
+        # A nan tol would otherwise run silently to the iteration cap.
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            godec(np.ones((4, 4)), 1, sparse_count=2, tol=tol)
+
 
 class TestProcrustesRectify:
     def test_identity_when_already_aligned(self):

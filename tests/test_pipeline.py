@@ -1,12 +1,13 @@
 """End-to-end pipeline tests: config validation, exact recovery on clean
-low-rank cubes, denoising gain under noise, solver equivalence, thread
-determinism, and consistency of the attached variance cube.
+low-rank cubes, denoising gain under noise, the fit the sparse budget
+picks, thread determinism, and consistency of the attached variance cube.
 
 The no-overlap oracle rebuilds the expected output from scratch with
 numpy.linalg.svd so the pipeline's window plumbing is checked against an
 implementation that shares no code with it.
 """
 
+import dataclasses
 import threading
 import time
 import tracemalloc
@@ -47,23 +48,26 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert cfg.window == WindowConfig()
         assert cfg.sigma0 == 0.0
-        assert cfg.solver == "godec"
         assert cfg.max_iter == 100
-        assert cfg.tol == 1e-7
         assert cfg.threads == 1
+        fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert fields == ["window", "sigma0", "max_iter", "threads"]
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
         [
-            ({"solver": "pca"}, "solver"),
+            ({"solver": "tsvd"}, "solver"),
             ({"sigma0": -0.1}, "sigma0"),
             ({"max_iter": 0}, "max_iter"),
-            ({"tol": 0.0}, "tol"),
+            ({"tol": 1e-7}, "tol"),
             ({"threads": 0}, "threads"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, fragment):
-        with pytest.raises(ValueError, match=fragment):
+        # solver and tol are not fields: the sparse budget alone picks the
+        # fit, and godec keeps its own tol.
+        error = TypeError if fragment in ("solver", "tol") else ValueError
+        with pytest.raises(error, match=fragment):
             PipelineConfig(**kwargs)
 
     @pytest.mark.parametrize("sigma0", [float("nan"), float("inf")])
@@ -120,16 +124,16 @@ class TestDenoise:
                 expected[r0:r0 + side, c0:c0 + side, :] = approx.reshape(side, side, 7)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("solver, sparse_card", [("tsvd", 0), ("godec", 9)])
-    def test_matches_aggregate_mean_of_per_window_fits(self, solver, sparse_card):
+    @pytest.mark.parametrize("sparse_card", [0, 9])
+    def test_matches_aggregate_mean_of_per_window_fits(self, sparse_card):
         # 13x11 image, side 5, step 3: the last origin is clamped on both
         # axes (8 after 6, and 6 after 3). Each window is fitted on its own
-        # with truncated_svd or godec and the patches are averaged by
-        # aggregate_mean, the oracle-tested averaging.
+        # with truncated_svd (zero budget) or godec and the patches are
+        # averaged by aggregate_mean, the oracle-tested averaging.
         clean = synth_lowrank_cube((13, 11, 6), true_rank=2, seed=41)
         noisy = add_gaussian(clean, 0.05, seed=41)
         window = WindowConfig(patch_side=5, step=3, rank=3, sparse_card=sparse_card)
-        cfg = small_config(window=window, solver=solver)
+        cfg = small_config(window=window)
         grid = enumerate_patches(noisy.dims, window)
         assert list(grid.row_origins) == [0, 3, 6, 8]
         assert list(grid.col_origins) == [0, 3, 6]
@@ -137,7 +141,7 @@ class TestDenoise:
         patches = []
         for r0, c0 in grid.origins:
             mat = noisy.data[r0:r0 + 5, c0:c0 + 5, :].reshape(25, 6)
-            if solver == "tsvd":
+            if sparse_card == 0:
                 approx = truncated_svd(mat, 3).matrix()
             else:
                 approx = godec(mat, 3, sparse_card).low_rank
@@ -150,18 +154,11 @@ class TestDenoise:
         calls = []
         real = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or real(*a, **k))
-        denoise_with_uq(noisy, small_config(solver="tsvd", sigma0=0.05))
+        denoise_with_uq(noisy, small_config(sigma0=0.05))
         assert calls == []
 
-    def test_tsvd_solver_matches_godec_without_sparse_budget(self):
-        clean = synth_lowrank_cube((12, 12, 6), true_rank=2, seed=3)
-        noisy = add_gaussian(clean, 0.04, seed=3)
-        a = denoise(noisy, small_config(solver="godec"))
-        b = denoise(noisy, small_config(solver="tsvd"))
-        np.testing.assert_array_equal(a.data, b.data)
-
     def test_sparse_budget_absorbs_impulses(self):
-        # A solver with a sparse budget should beat the plain truncated
+        # A fit with a sparse budget should beat the plain truncated
         # SVD once isolated extreme outliers are present.
         clean = synth_lowrank_cube((12, 12, 8), true_rank=2, seed=9)
         corrupted = clean.data.copy()
@@ -172,7 +169,7 @@ class TestDenoise:
 
         window = WindowConfig(patch_side=6, step=3, rank=2, sparse_card=30)
         robust = denoise(noisy, small_config(window=window))
-        plain = denoise(noisy, small_config(solver="tsvd"))
+        plain = denoise(noisy, small_config())
         assert rmse(robust, clean) < rmse(plain, clean)
 
 
@@ -373,7 +370,7 @@ class TestMemory:
     def scene(self):
         cube = add_gaussian(synth_lowrank_cube((96, 96, 32), true_rank=7, seed=1), 0.05, seed=2)
         cfg = PipelineConfig(window=WindowConfig(patch_side=20, step=4, rank=7),
-                             sigma0=0.05, solver="tsvd", threads=1)
+                             sigma0=0.05, threads=1)
         return cube, cfg
 
     def test_denoise_peak(self, scene):
