@@ -40,12 +40,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _check_in_numpy_range(value) -> None:
-    """Reject a float that is not finite, or an int above numpy's largest (uint64)."""
+def _in_range(value, minimum: float, maximum: float | None):
+    """`value` if numpy holds it (a finite float, an int up to uint64's
+    largest) and it is at least `minimum` and at most any `maximum`."""
     if isinstance(value, float) and not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"{value} is not finite")
     if isinstance(value, int) and value > 2**64 - 1:
         raise argparse.ArgumentTypeError(f"{value} is above the maximum {2**64 - 1}")
+    if maximum is None and value < minimum:
+        raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
+    if maximum is not None and not minimum <= value <= maximum:
+        raise argparse.ArgumentTypeError(f"{value} is outside [{minimum}, {maximum}]")
+    return value
 
 
 def _number(kind: type, minimum: float, maximum: float | None = None):
@@ -57,12 +63,7 @@ def _number(kind: type, minimum: float, maximum: float | None = None):
             value = kind(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {noun}: {text!r}") from None
-        _check_in_numpy_range(value)
-        if maximum is None and value < minimum:
-            raise argparse.ArgumentTypeError(f"{value} is below the minimum {minimum}")
-        if maximum is not None and not minimum <= value <= maximum:
-            raise argparse.ArgumentTypeError(f"{value} is outside [{minimum}, {maximum}]")
-        return value
+        return _in_range(value, minimum, maximum)
 
     return parse
 
@@ -80,8 +81,9 @@ def _dims(text: str) -> tuple[int, int, int]:
     return m, n, p
 
 
-def _list_of(kind: type):
-    """Parser of a non-empty comma-separated list of `kind` values numpy holds."""
+def _list_of(kind: type, minimum: float, maximum: float | None = None):
+    """Parser of a non-empty comma-separated list of `kind` values, each
+    range-checked as `_number` checks one."""
     noun = "integers" if kind is int else "numbers"
 
     def parse(text: str) -> list:
@@ -91,9 +93,7 @@ def _list_of(kind: type):
             raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
         if not values:
             raise argparse.ArgumentTypeError("list must not be empty")
-        for value in values:
-            _check_in_numpy_range(value)
-        return values
+        return [_in_range(value, minimum, maximum) for value in values]
 
     return parse
 
@@ -298,7 +298,7 @@ def _build_parser() -> _Parser:
     sp = ssub.add_parser("rank", help="sweep the fit rank")
     sp.add_argument("--clean", required=True)
     _add_noise_flags(sp)
-    sp.add_argument("--grid", type=_list_of(int), required=True, metavar="R1,R2,...")
+    sp.add_argument("--grid", type=_list_of(int, 1), required=True, metavar="R1,R2,...")
     sp.add_argument("--trials", type=_number(int, 2), default=100)
     sp.add_argument("--report", required=True)
     _add_window_flags(sp, with_rank=False)
@@ -306,8 +306,8 @@ def _build_parser() -> _Parser:
 
     sp = ssub.add_parser("impulse", help="sweep noise levels and impulse ratios")
     sp.add_argument("--clean", required=True)
-    sp.add_argument("--sigma0-grid", type=_list_of(float), required=True, metavar="S1,S2,...")
-    sp.add_argument("--ratio-grid", type=_list_of(float), required=True, metavar="R1,R2,...")
+    sp.add_argument("--sigma0-grid", type=_list_of(float, 0.0), required=True, metavar="S1,S2,...")
+    sp.add_argument("--ratio-grid", type=_list_of(float, 0, 1), required=True, metavar="R1,R2,...")
     sp.add_argument("--trials", type=_number(int, 2), default=100)
     sp.add_argument("--seed", type=_number(int, 0), default=0)
     sp.add_argument("--report", required=True)

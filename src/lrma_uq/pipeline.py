@@ -56,12 +56,13 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
     `windows` is the (N-J+1, P, J, J) sliding-window view of the row's
     J-pixel slab; each window becomes a (J*J) x P matrix, pixels in
     row-major order by bands. A zero sparse budget fits the row with one
-    batched truncated SVD; a positive one runs GoDec window by window into
-    preallocated row arrays. Writes the row and column leverages of the fit
-    factors into the (windows, J*J) `row_lev` and (windows, P) `col_lev`
-    when given. Returns the (windows, J, J, P) approximations and the count
-    of windows that hit the GoDec iteration cap. Each window's approximation
-    overwrites its `patch_to_matrix` view of the gathered, C-contiguous row.
+    batched truncated SVD; a positive one runs GoDec window by window.
+    Writes the row and column leverages of the fit factors into the
+    (windows, J*J) `row_lev` and (windows, P) `col_lev` when given; only
+    then does GoDec keep its factors, in preallocated row arrays. Returns
+    the (windows, J, J, P) approximations and the count of windows that hit
+    the GoDec iteration cap. Each window's approximation overwrites its
+    `patch_to_matrix` view of the gathered, C-contiguous row.
     """
     w = cfg.window
     n, jside, p = col_origins.size, w.patch_side, windows.shape[1]
@@ -73,11 +74,14 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
         u, s, v = truncated_svd_batch(mats, w.rank)
         np.matmul(u * s[:, None, :], np.swapaxes(v, 1, 2), out=mats)
     else:
-        u = np.empty((n, jside * jside, w.rank))
-        v = np.empty((n, p, w.rank))
+        if row_lev is not None:
+            u = np.empty((n, jside * jside, w.rank))
+            v = np.empty((n, p, w.rank))
         for i, m in enumerate(mats):
             fit = godec(m, w.rank, k, max_iter=cfg.max_iter)
-            m[...], u[i], v[i] = fit.low_rank, fit.factors.u, fit.factors.v
+            m[...] = fit.low_rank
+            if row_lev is not None:
+                u[i], v[i] = fit.factors.u, fit.factors.v
             stalled += not fit.converged
     if row_lev is not None:
         np.einsum("nur,nur->nu", u, u, out=row_lev)

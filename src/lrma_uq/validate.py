@@ -268,13 +268,17 @@ def rank_sweep(
     """Mean coverage for each candidate rank, all else held fixed.
 
     The pipeline's sigma0 is synced to the noise recipe so the variance
-    model always sees the std that was actually injected.
+    model always sees the std that was actually injected. Every rank's
+    config is built and checked against the cube before the first trial.
     """
+    run_cfgs = [
+        replace(cfg, sigma0=noise.sigma0, window=replace(cfg.window, rank=int(r)))
+        for r in ranks
+    ]
+    for run_cfg in run_cfgs:
+        run_cfg.window.validate_for(clean.dims)
     rows: list[tuple[int, float]] = []
-    for r in ranks:
-        run_cfg = replace(
-            cfg, sigma0=noise.sigma0, window=replace(cfg.window, rank=int(r))
-        )
+    for r, run_cfg in zip(ranks, run_cfgs):
         report = monte_carlo(clean, noise, run_cfg, trials=trials, base_seed=base_seed)
         rows.append((int(r), report.mean_coverage))
     return RankSweepReport(
@@ -293,17 +297,22 @@ def impulse_sweep(
     """Coverage summaries over the (sigma0, impulse ratio) grid.
 
     The pipeline's sigma0 follows the grid so each run's variance model
-    sees the Gaussian std actually injected at that grid point.
+    sees the Gaussian std actually injected at that grid point. Every grid
+    point's config and noise recipe are built and checked before the first
+    trial.
     """
+    cfg.window.validate_for(clean.dims)
+    points = [
+        (replace(cfg, sigma0=float(s0)), NoiseSpec(sigma0=float(s0), impulse_ratio=float(ratio)))
+        for s0 in sigma0_list
+        for ratio in ratio_list
+    ]
     rows: list[tuple[float, float, float, float]] = []
-    for s0 in sigma0_list:
-        run_cfg = replace(cfg, sigma0=float(s0))
-        for ratio in ratio_list:
-            noise = NoiseSpec(sigma0=float(s0), impulse_ratio=float(ratio))
-            report = monte_carlo(clean, noise, run_cfg, trials=trials, base_seed=base_seed)
-            rows.append(
-                (float(s0), float(ratio), report.mean_coverage, report.std_coverage)
-            )
+    for run_cfg, noise in points:
+        report = monte_carlo(clean, noise, run_cfg, trials=trials, base_seed=base_seed)
+        rows.append(
+            (noise.sigma0, noise.impulse_ratio, report.mean_coverage, report.std_coverage)
+        )
     return ImpulseSweepReport(rows=rows, trials=trials)
 
 

@@ -236,6 +236,14 @@ _TOO_LARGE = [
 ]
 
 
+# (command, list flag, a list whose last value is out of range, its message)
+_LIST_BOUNDS = [
+    ("sweep rank", "--grid", "2,0", "0 is below the minimum 1"),
+    ("sweep impulse", "--sigma0-grid", "0.05,-1", "-1.0 is below the minimum 0.0"),
+    ("sweep impulse", "--ratio-grid", "0,1.5", "1.5 is outside [0, 1]"),
+]
+
+
 @pytest.mark.parametrize("command, flag, value, message", [
     pytest.param(command, flag, value, message, id=f"{command} {flag}={value}")
     for command, flag, low, low_message, nan_message in _BOUNDS
@@ -244,6 +252,9 @@ _TOO_LARGE = [
     pytest.param(command, flag, str(2**64), f"{2**64} is above the maximum {2**64 - 1}",
                  id=f"{command} {flag}=2**64")
     for command, flag in _TOO_LARGE
+] + [
+    pytest.param(command, flag, value, message, id=f"{command} {flag}={value}")
+    for command, flag, value, message in _LIST_BOUNDS
 ])
 def test_range_checked_value_is_one_usage_error_line(
         capsys, tmp_path, monkeypatch, command, flag, value, message):
@@ -292,6 +303,18 @@ def test_non_finite_number_is_one_usage_error_line(capsys, tmp_path, command, fl
     assert code == 2 and stdout == ""
     assert err == f"error: argument {flag}: {value.split(',')[-1]} is not finite\n"
     assert not out.exists() and not (tmp_path / "v.hsic").exists()
+
+
+def test_sweep_rank_beyond_the_bands_fails_before_any_trial(capsys, tmp_path, monkeypatch):
+    # Rank 2 fits the 8-band cube and comes first; rank 99 does not.
+    clean = make_clean(capsys, tmp_path, dims="12,12,8")
+    calls = []
+    monkeypatch.setattr(lrma_uq.validate, "monte_carlo", lambda *a, **k: calls.append(1))
+    code, err = run(capsys, "sweep", "rank", "--clean", str(clean), "--sigma0", "0.05",
+                    "--grid", "2,99", "--trials", "2", "--report", str(tmp_path / "r.csv"),
+                    "--window", "6", "--step", "3", "--threads", "1")
+    assert code == 1 and err == "error: rank 99 exceeds min(patch_side^2, bands) = 8\n"
+    assert calls == [] and not (tmp_path / "r.csv").exists()
 
 
 def test_largest_int_numpy_holds_still_parses():

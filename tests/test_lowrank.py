@@ -14,6 +14,7 @@ from lrma_uq import (
     truncated_svd,
     truncated_svd_batch,
 )
+from lrma_uq import lowrank
 from lrma_uq.lowrank import _keep_largest
 
 SQRT5 = np.sqrt(5.0)
@@ -247,6 +248,46 @@ class TestGodec:
             res = godec(a, 3, sparse_count=12, max_iter=40)
             hist = np.asarray(res.residual_history)
             assert np.all(np.diff(hist) <= 1e-12)
+
+    def test_residual_monotone_on_a_scene_shaped_window(self):
+        # A 20x20-pixel, 64-band window of a rank-7 scene with 5% impulses,
+        # fitted at rank 7 with a 5% budget: the warm steps run many times.
+        rng = np.random.default_rng(26)
+        a = rng.uniform(0, 1, (400, 7)) @ rng.uniform(0, 1, (7, 64)) / 7
+        a += 0.05 * rng.standard_normal(a.shape)
+        hit = rng.random(a.shape) < 0.05
+        a[hit] = rng.integers(0, 2, hit.sum())
+        res = godec(a, 7, sparse_count=round(0.05 * a.size))
+        assert res.iterations > 3
+        rises = np.diff(res.residual_history)
+        assert np.all(rises <= 1e-12 * np.linalg.norm(a))
+
+    def test_rank_deficient_iterate_takes_the_exact_fallback(self, monkeypatch):
+        # A rank-2 input fitted at rank 3 keeps every iterate at rank 2, so
+        # the warm step's 3x3 Gram fails the floor and each iteration after
+        # the first refits with truncated_svd. (Spikes on a rank-2 input do
+        # not serve: the third direction absorbs one and keeps it.)
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
+        calls = []
+        real = lowrank.truncated_svd
+        monkeypatch.setattr(lowrank, "truncated_svd",
+                            lambda *args: calls.append(1) or real(*args))
+        res = godec(a, 3, sparse_count=4)
+        assert res.iterations >= 2 and len(calls) == res.iterations
+        f = res.factors
+        assert np.all(np.isfinite(f.s))
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(f.v.T @ f.v, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(res.low_rank, a, atol=1e-12)
+
+    def test_warm_fit_anchors_signs_like_truncated_svd(self):
+        rng = np.random.default_rng(27)
+        a = rng.standard_normal((30, 8))
+        res = godec(a, 3, sparse_count=10)
+        assert res.iterations >= 2
+        u = res.factors.u
+        assert np.all(u[np.argmax(np.abs(u), axis=0), range(3)] > 0)
 
     def test_sparse_budget_respected(self):
         rng = np.random.default_rng(23)

@@ -18,10 +18,12 @@ import pytest
 
 from lrma_uq import (
     HsiCube,
+    NoiseSpec,
     PipelineConfig,
     WindowConfig,
     add_gaussian,
     aggregate_mean,
+    apply_noise,
     denoise,
     denoise_with_uq,
     enumerate_patches,
@@ -157,6 +159,20 @@ class TestDenoise:
         denoise_with_uq(noisy, small_config(sigma0=0.05))
         assert calls == []
 
+    def test_godec_fit_makes_one_full_eigh_per_window(self, monkeypatch):
+        # Only GoDec's first iteration takes the P x P Gram eigendecomposition;
+        # later ones warm-start and decompose an r x r Gram.
+        clean = synth_lowrank_cube((12, 12, 6), true_rank=2, seed=44)
+        noisy = apply_noise(clean, NoiseSpec(sigma0=0.05, impulse_ratio=0.05, seed=44))
+        window = WindowConfig(patch_side=6, step=3, rank=2, sparse_card=0.05)
+        sizes = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape[-1]) or real(a))
+        denoise(noisy, small_config(window=window))
+        windows = len(enumerate_patches(noisy.dims, window))
+        assert sizes.count(6) == windows
+        assert sizes.count(2) > windows and set(sizes) == {2, 6}
+
     def test_sparse_budget_absorbs_impulses(self):
         # A fit with a sparse budget should beat the plain truncated
         # SVD once isolated extreme outliers are present.
@@ -193,6 +209,23 @@ class TestThreadDeterminism:
             for den, var in outputs[1:]:
                 np.testing.assert_array_equal(den, outputs[0][0])
                 np.testing.assert_array_equal(var, outputs[0][1])
+
+    def test_worker_count_never_changes_godec_output(self):
+        # GoDec's warm start is per-window state: no iterate may leak into
+        # another window or another worker's row.
+        dims = (14, 13, 6)
+        window = WindowConfig(patch_side=5, step=3, rank=3, sparse_card=0.05)
+        clean = synth_lowrank_cube(dims, true_rank=2, seed=14)
+        noisy = apply_noise(clean, NoiseSpec(sigma0=0.05, impulse_ratio=0.05, seed=14))
+        assert enumerate_patches(dims, window).row_origins.size == 4
+        outputs = []
+        for threads in (1, 2, 3, 8):
+            cfg = small_config(window=window, sigma0=0.05, threads=threads)
+            den, var = denoise_with_uq(noisy, cfg)
+            outputs.append((den.data, var.data))
+        for den, var in outputs[1:]:
+            np.testing.assert_array_equal(den, outputs[0][0])
+            np.testing.assert_array_equal(var, outputs[0][1])
 
 
 class _Recorded:

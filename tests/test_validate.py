@@ -27,6 +27,7 @@ from lrma_uq import (
     shapiro_wilk,
     synth_lowrank_cube,
     timing_compare,
+    validate,
 )
 
 DIMS = (12, 12, 6)
@@ -276,6 +277,15 @@ class TestRankSweep:
         assert report.trials == 3
         assert report.sigma0 == noise.sigma0
 
+    def test_every_rank_checked_before_the_first_trial(self, monkeypatch):
+        # Rank 9 exceeds the cube's 6 bands; rank 2 comes first in the grid.
+        clean, noise, cfg = mc_setup()
+        calls = []
+        monkeypatch.setattr(validate, "monte_carlo", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="rank 9 exceeds"):
+            rank_sweep(clean, noise, cfg, ranks=[2, 9], trials=2)
+        assert calls == []
+
 
 class TestImpulseSweep:
     def test_grid_order_and_zero_ratio_matches_gaussian_run(self):
@@ -305,6 +315,28 @@ class TestImpulseSweep:
         clean_cov = report.rows[0][2]
         impulse_cov = report.rows[1][2]
         assert impulse_cov <= clean_cov + 0.02
+
+    @pytest.mark.parametrize("sigma0_list, ratio_list, fragment", [
+        ([0.05], [0.0, 1.5], "impulse_ratio"),
+        ([0.05, -1.0], [0.0], "sigma0"),
+    ])
+    def test_every_grid_point_checked_before_the_first_trial(
+            self, monkeypatch, sigma0_list, ratio_list, fragment):
+        clean, _, cfg = mc_setup()
+        calls = []
+        monkeypatch.setattr(validate, "monte_carlo", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match=fragment):
+            impulse_sweep(clean, sigma0_list, ratio_list, cfg, trials=2)
+        assert calls == []
+
+    def test_window_checked_against_the_cube_before_the_first_trial(self, monkeypatch):
+        clean, _, _ = mc_setup()
+        cfg = PipelineConfig(window=WindowConfig(patch_side=13, step=3, rank=2))
+        calls = []
+        monkeypatch.setattr(validate, "monte_carlo", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="patch_side 13 exceeds"):
+            impulse_sweep(clean, [0.05], [0.0], cfg, trials=2)
+        assert calls == []
 
 
 class TestTimingCompare:
