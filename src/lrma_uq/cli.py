@@ -126,7 +126,7 @@ def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -
                             help="rank of the per-window fit (default 7)")
     parser.add_argument("--sparse-card", type=_number(float, 0.0), default=0.0,
                         help="sparse budget: 0 disables, <1 is a fraction of "
-                             "patch entries, >=1 an absolute count")
+                             "patch entries, >=1 a whole count")
     parser.add_argument("--solver", choices=("godec", "tsvd"), default="godec",
                         help="tsvd fits without the sparse step, the same as "
                              "--sparse-card 0 (default godec)")

@@ -11,6 +11,8 @@ bit-identically; f32 narrows with round-to-nearest-even and is lossy.
 from __future__ import annotations
 
 import csv
+import os
+import stat
 
 import numpy as np
 
@@ -74,11 +76,16 @@ def read_cube(path: str) -> HsiCube:
                 f"layout/endianness must be 'BSQ LE', got {fields[5]!r} {fields[6]!r}"
             )
         dt = _DTYPES[fields[4]]
-        data = np.empty((p, m, n), dtype=dt)
-        got = fh.readinto(memoryview(data).cast("B"))
-        if got < data.nbytes:
+        need = m * n * p * dt.itemsize
+        info = os.fstat(fh.fileno())
+        # A regular file's size bounds its payload before any allocation.
+        got = info.st_size - fh.tell() if stat.S_ISREG(info.st_mode) else need
+        if got >= need:
+            data = np.empty((p, m, n), dtype=dt)
+            got = fh.readinto(memoryview(data).cast("B"))
+        if got < need:
             raise TruncatedPayloadError(
-                f"truncated payload: expected {data.nbytes} bytes, got {got}"
+                f"truncated payload: expected {need} bytes, got {got}"
             )
         if fh.read(1):
             raise ContainerError("trailing bytes after payload")

@@ -157,6 +157,13 @@ def _warm_svd(x: np.ndarray, v: np.ndarray) -> LowRankFactors | None:
     return LowRankFactors(u=u, s=s, v=v)
 
 
+# GoDec stops once an iteration lowers the residual norm by less than this
+# fraction of the input norm (of 1 for smaller inputs). It sits far above
+# the float64 rounding of that norm, about 1e-16 relative, so round-off
+# never decides the stop.
+_TOL = 1e-7
+
+
 def _keep_largest(mat: np.ndarray, count: int) -> np.ndarray:
     """Zero all but the `count` largest-magnitude entries.
 
@@ -184,7 +191,6 @@ def godec(
     rank: int,
     sparse_count: int = 0,
     max_iter: int = 100,
-    tol: float = 1e-7,
 ) -> GodecResult:
     """Alternating decomposition of a matrix into low-rank plus sparse parts.
 
@@ -205,7 +211,7 @@ def godec(
     sparse step keeps the residual's largest entries, which can only lower
     its norm.
 
-    Convergence: stops when the residual improves by less than `tol`
+    Convergence: stops when the residual improves by less than `_TOL`
     relative to the input norm, or after `max_iter` iterations. The
     alternation is a local method starting from a zero sparse part, so a
     sparse component whose magnitude rivals the input's spectral norm can
@@ -218,8 +224,6 @@ def godec(
         raise ValueError(f"sparse_count must be >= 0, got {sparse_count}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
 
     scale = np.linalg.norm(mat)
     sparse = np.zeros_like(mat)
@@ -237,7 +241,7 @@ def godec(
         sparse = _keep_largest(residual, sparse_count)
         res = float(np.linalg.norm(residual - sparse))
         history.append(res)
-        if sparse_count == 0 or prev - res <= tol * max(scale, 1.0):
+        if sparse_count == 0 or prev - res <= _TOL * max(scale, 1.0):
             converged = True
             break
         prev = res

@@ -5,8 +5,7 @@ same per-patch factors at a small constant overhead."""
 from __future__ import annotations
 
 import logging
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,38 +91,24 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
 def _ordered(fn, count: int, workers: int):
     """Yield fn(0), ..., fn(count - 1) in order, computed by `workers` threads.
 
-    The calling thread is one of the workers and the pool holds the other
-    workers - 1, so at most `workers` results are ever computed ahead of
-    the consumer. The caller hands rows to idle pool threads first, yields
-    finished rows next, and only then computes a row itself. Every pool
-    result is read, so an exception in a worker is raised here.
+    Rows go in batches of `workers`: the pool fits all but the first row of
+    a batch while the calling thread fits the first, and every pool result
+    is read in order, so a worker's exception is raised here. Each future
+    is popped before its row is yielded, so no row stays alive here once
+    the consumer drops it.
 
     Keep the caller a worker: a plain pool of `workers` threads with the
     caller only consuming holds one more row in flight, which raised peak
     RSS by 9-12% on both benchmark scenes, past the 5% bound (see ROADMAP).
+    Keep the pool at `workers` - 1: a submit that races a thread's return
+    to idle would start one more fitting thread, which costs RSS too.
     """
-    if workers == 1 or count == 1:
-        yield from map(fn, range(count))
-        return
-    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
-        ahead: deque[Future] = deque()  # started, not yet yielded, in order
-        nxt = 0
-        try:
-            while ahead or nxt < count:
-                room = nxt < count and len(ahead) < workers
-                if room and sum(not f.done() for f in ahead) < workers - 1:
-                    ahead.append(pool.submit(fn, nxt))
-                elif not room or ahead[0].done():
-                    yield ahead.popleft().result()
-                    continue
-                else:
-                    own: Future = Future()
-                    own.set_result(fn(nxt))
-                    ahead.append(own)
-                nxt += 1
-        finally:
-            for f in ahead:
-                f.cancel()
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        for start in range(0, count, workers):
+            rest = [pool.submit(fn, i) for i in range(start + 1, min(start + workers, count))]
+            yield fn(start)
+            while rest:
+                yield rest.pop(0).result()
 
 
 def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):

@@ -212,6 +212,15 @@ def monte_carlo(
     )
 
 
+def _finite_sample(samples: np.ndarray) -> np.ndarray:
+    """The sample as a flat float64 array; nan or inf in it is an error."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    if not np.isfinite(x).all():
+        bad = np.count_nonzero(~np.isfinite(x))
+        raise ValueError(f"sample has non-finite values ({bad} of {x.size})")
+    return x
+
+
 def qq_data(samples: np.ndarray) -> np.ndarray:
     """Normal Q-Q pairs: column 0 theoretical, column 1 standardized sample.
 
@@ -221,7 +230,7 @@ def qq_data(samples: np.ndarray) -> np.ndarray:
     to sample location and scale, and an exactly normal-scores sample lands
     on the identity line.
     """
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _finite_sample(samples)
     n = x.size
     if n < 3:
         raise ValueError(f"need at least 3 samples, got {n}")
@@ -241,9 +250,9 @@ def shapiro_wilk(samples: np.ndarray) -> NormalityReport:
     """Shapiro-Wilk normality test with attached Q-Q pairs.
 
     Valid for 3 <= n <= 5000 (the range of the p-value approximation);
-    sizes outside that range and constant samples are errors.
+    sizes outside that range, constant samples and nan or inf are errors.
     """
-    x = np.asarray(samples, dtype=np.float64).ravel()
+    x = _finite_sample(samples)
     n = x.size
     if not 3 <= n <= 5000:
         raise ValueError(f"sample size must be in [3, 5000], got {n}")

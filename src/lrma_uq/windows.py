@@ -41,6 +41,8 @@ class WindowConfig:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not 0 <= self.sparse_card < np.inf:
             raise ValueError(f"sparse_card must be finite and >= 0, got {self.sparse_card}")
+        if self.sparse_card >= 1 and self.sparse_card != int(self.sparse_card):
+            raise ValueError(f"sparse_card >= 1 must be a whole count, got {self.sparse_card}")
 
     def validate_for(self, dims: tuple[int, int, int]) -> None:
         """Check the window against concrete cube dims."""

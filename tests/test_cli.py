@@ -366,6 +366,27 @@ class TestRuntimeErrors:
                         *SMALL_WINDOW)
         assert code == 1 and "bad magic" in err
 
+    def test_payload_larger_than_memory_is_one_error_line(self, capsys, tmp_path):
+        bad = tmp_path / "huge.hsic"
+        bad.write_bytes(b"HSIC1 100000 100000 1000 f64 BSQ LE\n" + b"\x00" * 2)
+        code, err = run(capsys, "denoise", "--in", str(bad), "--out", "o.hsic",
+                        *SMALL_WINDOW)
+        assert code == 1
+        assert err == "error: truncated payload: expected 80000000000000 bytes, got 2\n"
+
+    @pytest.mark.parametrize("check", ["qq", "sw"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_sample_is_one_error_line(self, capsys, tmp_path, check, bad):
+        samples = tmp_path / "samples.csv"
+        write_samples_csv(samples)
+        samples.write_text(samples.read_text() + f"{bad}\n")
+        report = tmp_path / "report.csv"
+        code, err = run(capsys, "validate", check, "--samples", str(samples),
+                        "--report", str(report))
+        assert code == 1
+        assert err == "error: sample has non-finite values (1 of 101)\n"
+        assert not report.exists()
+
     def test_window_larger_than_cube(self, capsys, tmp_path):
         clean = make_clean(capsys, tmp_path)
         code, err = run(capsys, "denoise", "--in", str(clean), "--out", "o.hsic",

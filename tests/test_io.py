@@ -95,6 +95,15 @@ class TestCubeContainer:
         with pytest.raises(TruncatedPayloadError, match="expected 32 bytes, got 16"):
             read_cube(str(path))
 
+    def test_payload_checked_against_file_size_before_allocation(self, tmp_path):
+        # The header promises 80 TB; the file holds 2 payload bytes.
+        path = tmp_path / "huge.hsic"
+        path.write_bytes(b"HSIC1 100000 100000 1000 f64 BSQ LE\n" + b"\x00" * 2)
+        assert path.stat().st_size == 38
+        with pytest.raises(TruncatedPayloadError,
+                           match="expected 80000000000000 bytes, got 2"):
+            read_cube(str(path))
+
     def test_unknown_dtype_in_header(self, tmp_path):
         path = tmp_path / "dtype.hsic"
         path.write_bytes(b"HSIC1 2 2 1 f16 BSQ LE\n" + b"\x00" * 8)

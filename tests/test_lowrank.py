@@ -298,7 +298,7 @@ class TestGodec:
     def test_nonconvergence_reported_not_raised(self):
         rng = np.random.default_rng(24)
         a = rng.standard_normal((12, 12))
-        res = godec(a, 2, sparse_count=20, max_iter=2, tol=1e-16)
+        res = godec(a, 2, sparse_count=20, max_iter=2)
         assert res.converged in (True, False)
         assert res.iterations <= 2
 
@@ -309,12 +309,6 @@ class TestGodec:
             godec(np.ones((4, 4)), 1, max_iter=0)
         with pytest.raises(ValueError, match="rank"):
             godec(np.ones((4, 4)), 9)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-7, float("nan")])
-    def test_tol_must_be_positive(self, tol):
-        # A nan tol would otherwise run silently to the iteration cap.
-        with pytest.raises(ValueError, match="tol must be > 0"):
-            godec(np.ones((4, 4)), 1, sparse_count=2, tol=tol)
 
 
 class TestProcrustesRectify:

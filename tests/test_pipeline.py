@@ -11,6 +11,7 @@ import dataclasses
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -234,12 +235,6 @@ class _Recorded:
     def __init__(self, future):
         self.future, self.read = future, False
 
-    def done(self):
-        return self.future.done()
-
-    def cancel(self):
-        return self.future.cancel()
-
     def result(self):
         self.read = True
         return self.future.result()
@@ -291,6 +286,52 @@ class TestRowScheduler:
 
         with pytest.raises(RuntimeError, match=f"row {bad}"):
             list(pipeline._ordered(fn, 6, 2))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_no_consumed_row_is_alive_while_a_later_row_is_fitted(self, workers):
+        caller = threading.get_ident()
+        lock = threading.Lock()
+        consumed = []  # weakrefs of the rows the consumer has dropped
+
+        class Row:
+            pass
+
+        def check(i):
+            with lock:
+                alive = [k for k, ref in enumerate(consumed) if ref() is not None]
+            assert not alive, f"consumed rows {alive} still alive while row {i} is fitted"
+
+        def fn(i):
+            check(i)
+            if threading.get_ident() != caller:
+                time.sleep(0.02)
+            check(i)
+            return Row()
+
+        for row in pipeline._ordered(fn, 12, workers):
+            with lock:
+                consumed.append(weakref.ref(row))
+            del row
+            time.sleep(0.001)  # the consumer's work lets the pool threads run
+        assert len(consumed) == 12
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("count", [1, 5, 7, 16])
+    def test_caller_fits_every_batch_head_and_pool_has_workers_minus_one(self, workers, count):
+        # One worker: the caller fits every row and no other thread runs fn.
+        lock = threading.Lock()
+        threads = {}
+
+        def fn(i):
+            with lock:
+                threads[i] = threading.get_ident()
+            time.sleep(0.002)
+            return i
+
+        assert list(pipeline._ordered(fn, count, workers)) == list(range(count))
+        caller = threading.get_ident()
+        assert {i for i, t in threads.items() if t == caller} == set(range(0, count, workers))
+        assert len(set(threads.values()) - {caller}) <= workers - 1
 
 
 class TestDenoiseWithUq:

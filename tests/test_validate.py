@@ -6,6 +6,8 @@ scale invariance by a power of two, normal-scores input) or use sample
 sizes where the law of large numbers leaves wide, pinned-seed margins.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -223,6 +225,16 @@ class TestQqData:
             qq_data(np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="zero variance"):
             qq_data(np.full(10, 3.5))
+
+
+@pytest.mark.parametrize("check", [qq_data, shapiro_wilk])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_rejected_before_scipy_loads(monkeypatch, check, bad):
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)  # importing it now fails
+    x = np.random.default_rng(5).standard_normal(20)
+    x[7] = bad
+    with pytest.raises(ValueError, match=r"non-finite values \(1 of 20\)"):
+        check(x)
 
 
 class TestShapiroWilk:

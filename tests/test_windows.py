@@ -38,6 +38,8 @@ class TestWindowConfig:
             {"patch_side": 4, "step": 5},
             {"rank": 0},
             {"sparse_card": -1},
+            {"sparse_card": 2.999},
+            {"sparse_card": 1.5},
         ],
     )
     def test_invalid_parameters(self, kwargs):
