@@ -20,6 +20,8 @@ from .cube import HsiCube
 
 _MAGIC = "HSIC1"
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# Largest read from a non-regular input, whose size is not known up front.
+_CHUNK = 1 << 20
 
 
 class ContainerError(ValueError):
@@ -78,11 +80,23 @@ def read_cube(path: str) -> HsiCube:
         dt = _DTYPES[fields[4]]
         need = m * n * p * dt.itemsize
         info = os.fstat(fh.fileno())
-        # A regular file's size bounds its payload before any allocation.
-        got = info.st_size - fh.tell() if stat.S_ISREG(info.st_mode) else need
-        if got >= need:
-            data = np.empty((p, m, n), dtype=dt)
-            got = fh.readinto(memoryview(data).cast("B"))
+        if stat.S_ISREG(info.st_mode):
+            # A regular file's size bounds its payload before any allocation.
+            got = info.st_size - fh.tell()
+            if got >= need:
+                data = np.empty((p, m, n), dtype=dt)
+                got = fh.readinto(memoryview(data).cast("B"))
+        else:
+            # A pipe's size is not known: the buffer grows only as bytes arrive.
+            payload = bytearray()
+            while len(payload) < need:
+                chunk = fh.read(min(_CHUNK, need - len(payload)))
+                if not chunk:
+                    break
+                payload += chunk
+            got = len(payload)
+            if got == need:
+                data = np.frombuffer(payload, dtype=dt).reshape(p, m, n)
         if got < need:
             raise TruncatedPayloadError(
                 f"truncated payload: expected {need} bytes, got {got}"

@@ -106,38 +106,27 @@ class TimingReport:
                 [[self.mc_trials, self.mc_total_s, self.lrma_only_s, self.lrma_plus_uq_s]])
 
 
-def coverage_rate(samples: np.ndarray, sigma_hat: HsiCube) -> tuple[HsiCube, float, float]:
+def coverage_rate(samples: np.ndarray, sigma_hat: HsiCube | np.ndarray) -> tuple[HsiCube, float, float]:
     """Fraction of samples within +/- 1.96 sigma_hat of their own mean.
 
-    samples has shape (trials, M, N, P). The interval is centered on the
-    across-trial mean and the boundary counts as covered. A zero sigma_hat
-    covers only samples exactly equal to the mean.
+    samples has shape (trials, M, N, P). sigma_hat is an HsiCube, one std
+    for every trial, or a (trials, M, N, P) array with one std per trial.
+    The interval is centered on the across-trial mean and the boundary
+    counts as covered. A zero sigma_hat covers only samples exactly equal
+    to the mean. Trials are counted one at a time, so no temporary the
+    size of the sample stack is made.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4 or samples.shape[0] < 2:
         raise ValueError(
             f"samples must be (trials >= 2, M, N, P), got shape {samples.shape}"
         )
-    if samples.shape[1:] != sigma_hat.dims:
-        raise ValueError(
-            f"sample dims {samples.shape[1:]} do not match sigma_hat dims {sigma_hat.dims}"
-        )
-    per_voxel = _covered_fraction(samples, samples.mean(axis=0), sigma_hat.data)
-    return (
-        HsiCube(per_voxel, copy=False),
-        float(per_voxel.mean()),
-        float(per_voxel.std()),
-    )
-
-
-def _covered_fraction(samples: np.ndarray, center: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Per-voxel fraction of trials l with |samples[l] - center| <= Z95 * sigma.
-
-    sigma is one (M, N, P) std for every trial, or a (trials, M, N, P)
-    stack with one per trial. Trials are counted one at a time, so no
-    temporary the size of the sample stack is made.
-    """
-    per_trial = sigma.ndim == 4
+    per_trial = not isinstance(sigma_hat, HsiCube)
+    sigma = np.asarray(sigma_hat, dtype=np.float64) if per_trial else sigma_hat.data
+    want = samples.shape if per_trial else samples.shape[1:]
+    if sigma.shape != want:
+        raise ValueError(f"sample dims {want} do not match sigma_hat dims {sigma.shape}")
+    center = samples.mean(axis=0)
     limit = None if per_trial else Z95 * sigma
     count = np.zeros(center.shape)
     dev = np.empty_like(center)
@@ -145,7 +134,7 @@ def _covered_fraction(samples: np.ndarray, center: np.ndarray, sigma: np.ndarray
         np.abs(np.subtract(sample, center, out=dev), out=dev)
         count += dev <= (Z95 * sigma[l] if per_trial else limit)
     count /= samples.shape[0]
-    return count
+    return HsiCube(count, copy=False), float(count.mean()), float(count.std())
 
 
 def monte_carlo(
@@ -162,7 +151,8 @@ def monte_carlo(
     Trial l is seeded with base_seed + l. The interval std comes from the
     closed-form variance of trial 0 by default ("trial0"), matching the
     single-observation deployment scenario; "per_trial" scores each trial
-    against its own variance instead. Fixed seeds make the whole run
+    against its own variance instead. Coverage is `coverage_rate` of the
+    trial stack, called once in either mode. Fixed seeds make the whole run
     bit-reproducible.
     """
     if trials < 2:
@@ -170,11 +160,9 @@ def monte_carlo(
     if sigma_mode not in _SIGMA_MODES:
         raise ValueError(f"sigma_mode must be one of {_SIGMA_MODES}, got {sigma_mode!r}")
 
-    m, n, p = clean.dims
-    stack = np.empty((trials, m, n, p), dtype=np.float64)
+    stack = np.empty((trials, *clean.dims))
     per_trial = sigma_mode == "per_trial"
-    sigma_stack = np.empty((trials, m, n, p), dtype=np.float64) if per_trial else None
-    sigma_ref: np.ndarray | None = None
+    sigma_stack = np.empty_like(stack) if per_trial else None
     seconds: list[float] = []
 
     for l in range(trials):
@@ -184,7 +172,7 @@ def monte_carlo(
             den, var = denoise_with_uq(noisy, cfg)
             std = np.sqrt(var.data)
             if l == 0:
-                sigma_ref = std
+                sigma_hat = HsiCube(std, copy=False)
             if per_trial:
                 sigma_stack[l] = std
         else:
@@ -192,8 +180,7 @@ def monte_carlo(
         stack[l] = den.data
         seconds.append(time.perf_counter() - t0)
 
-    center = stack.mean(axis=0)
-    per_voxel = _covered_fraction(stack, center, sigma_stack if per_trial else sigma_ref)
+    coverage, mean_c, std_c = coverage_rate(stack, sigma_stack if per_trial else sigma_hat)
 
     return McReport(
         trials=trials,
@@ -202,13 +189,13 @@ def monte_carlo(
         base_seed=base_seed,
         sigma_mode=sigma_mode,
         config=cfg,
-        trial_mean=HsiCube(center, copy=False),
-        coverage=HsiCube(per_voxel, copy=False),
-        mean_coverage=float(per_voxel.mean()),
-        std_coverage=float(per_voxel.std()),
+        trial_mean=HsiCube(stack.mean(axis=0), copy=False),
+        coverage=coverage,
+        mean_coverage=mean_c,
+        std_coverage=std_c,
         trial_seconds=seconds,
         samples=stack if keep_samples else None,
-        sigma_hat=HsiCube(sigma_ref, copy=False),
+        sigma_hat=sigma_hat,
     )
 
 
@@ -335,19 +322,23 @@ def timing_compare(
     """Wall-clock of trial-based variance estimation vs the closed form.
 
     The trial-based route denoises `mc_trials` fresh corruptions and takes
-    the empirical per-voxel variance of the stack; the closed-form route is
-    a single denoise with the variance attached. All three timings use the
-    same clean cube, noise recipe, and worker count.
+    their empirical per-voxel variance. It streams: each estimate is added,
+    with its square, into two cube-sized sums, and no per-trial stack is
+    kept. The closed-form route is a single denoise with the variance
+    attached. All three timings use the same clean cube, noise recipe, and
+    worker count.
     """
     if mc_trials < 1:
         raise ValueError(f"mc_trials must be >= 1, got {mc_trials}")
-    m, n, p = clean.dims
 
     t0 = time.perf_counter()
-    stack = np.empty((mc_trials, m, n, p), dtype=np.float64)
+    total, total_sq = np.zeros((2, *clean.dims))
     for l in range(mc_trials):
-        stack[l] = denoise(apply_noise(clean, noise, seed=base_seed + l), cfg).data
-    stack.var(axis=0)
+        den = denoise(apply_noise(clean, noise, seed=base_seed + l), cfg).data
+        total += den
+        total_sq += den * den
+    # The per-voxel variance: not reported, but the route pays for it.
+    np.subtract(total_sq / mc_trials, (total / mc_trials) ** 2, out=total_sq)
     mc_total = time.perf_counter() - t0
 
     noisy = apply_noise(clean, noise, seed=base_seed)

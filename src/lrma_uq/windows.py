@@ -95,17 +95,6 @@ class PatchGrid:
     def __len__(self) -> int:
         return len(self.origins)
 
-    def covering_origins(self, row: int, col: int) -> list[Origin]:
-        """Origins of all windows containing spatial pixel (row, col).
-
-        Derived from arithmetic on the per-axis origin lists rather than a
-        stored per-voxel table.
-        """
-        j = self.config.patch_side
-        rows = self.row_origins[(self.row_origins <= row) & (row < self.row_origins + j)]
-        cols = self.col_origins[(self.col_origins <= col) & (col < self.col_origins + j)]
-        return [(int(r), int(c)) for r in rows for c in cols]
-
 
 def _cover_indicator(extent: int, origins: np.ndarray, patch_side: int) -> np.ndarray:
     """(extent, len(origins)) matrix: 1 where the pixel lies in the window."""

@@ -3,6 +3,9 @@ round trips, every malformed-file error) and the CSV report writers
 (schemas, exact float round trips, byte determinism).
 """
 
+import contextlib
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +23,7 @@ from lrma_uq import (
     TimingReport,
     TruncatedPayloadError,
     UnknownDtypeError,
+    cli,
     read_cube,
     read_report_csv,
     write_cube,
@@ -177,6 +181,58 @@ class TestContainerMemory:
         assert traced_peak(lambda: write_cube(cube, path)) <= 1.1 * cube.data.nbytes
         assert traced_peak(lambda: read_cube(path)) <= 1.15 * cube.data.nbytes
         assert read_cube(path).data.tobytes() == cube.data.tobytes()
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """Yield a /dev/fd path that reads `data` from a pipe, fed by a writer
+    thread so that data larger than the pipe buffer does not block."""
+    read_fd, write_fd = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write_fd, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_fd}"
+    finally:
+        os.close(read_fd)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+
+
+HUGE_HEADER = b"HSIC1 100000 100000 1000 f64 BSQ LE\n"
+
+
+class TestPipeInput:
+    # A pipe has no size to check, so its payload is read in bounded
+    # chunks: a header promising 80 TB must not allocate it up front.
+    def test_huge_header_on_a_pipe_is_truncated_not_allocated(self):
+        with piped(HUGE_HEADER + b"\x00" * 2) as path:
+            def read():
+                with pytest.raises(TruncatedPayloadError,
+                                   match="expected 80000000000000 bytes, got 2"):
+                    read_cube(path)
+            assert traced_peak(read) < 4 << 20
+
+    def test_cube_larger_than_the_pipe_buffer_round_trips(self, tmp_path):
+        # 1.3 MB: many pipe buffers and more than one read chunk.
+        cube = random_cube((64, 64, 40), seed=4)
+        path = tmp_path / "big.hsic"
+        write_cube(cube, str(path))
+        with piped(path.read_bytes()) as fd_path:
+            back = read_cube(fd_path)
+        assert back.data.tobytes() == cube.data.tobytes()
+
+    def test_short_pipe_is_one_cli_error_line(self, capsys):
+        with piped(HUGE_HEADER + b"\x00" * 2) as path:
+            code = cli.main(["denoise", "--in", path, "--out", "o.hsic",
+                             "--window", "6", "--step", "3", "--rank", "2"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: truncated payload: expected 80000000000000 bytes, got 2\n"
 
 
 def tiny_cube() -> HsiCube:

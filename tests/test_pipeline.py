@@ -8,6 +8,7 @@ implementation that shares no code with it.
 """
 
 import dataclasses
+import logging
 import threading
 import time
 import tracemalloc
@@ -34,6 +35,7 @@ from lrma_uq import (
     synth_lowrank_cube,
     truncated_svd,
 )
+from oracles import covering_origins
 
 
 def small_config(**overrides) -> PipelineConfig:
@@ -188,6 +190,18 @@ class TestDenoise:
         robust = denoise(noisy, small_config(window=window))
         plain = denoise(noisy, small_config())
         assert rmse(robust, clean) < rmse(plain, clean)
+
+    @pytest.mark.parametrize("sparse_card", [0, 10])
+    def test_iteration_cap_warning(self, caplog, sparse_card):
+        # One GoDec iteration never meets the stopping rule, so every
+        # window is capped; the batched TSVD of a zero budget never is.
+        noisy = add_gaussian(synth_lowrank_cube((12, 12, 6), true_rank=2, seed=3), 0.05, seed=3)
+        window = WindowConfig(patch_side=6, step=3, rank=2, sparse_card=sparse_card)
+        with caplog.at_level(logging.WARNING, logger="lrma_uq.pipeline"):
+            denoise(noisy, small_config(window=window, max_iter=1))
+        message = "9 of 9 patches hit the iteration cap before converging"
+        expected = [("lrma_uq.pipeline", logging.WARNING, message)] if sparse_card else []
+        assert caplog.record_tuples == expected
 
 
 class TestThreadDeterminism:
@@ -406,7 +420,7 @@ class TestDenoiseWithUq:
         expected = np.empty(noisy.dims)
         for row in range(11):
             for col in range(9):
-                cover = grid.covering_origins(row, col)
+                cover = covering_origins(grid, row, col)
                 lu = [lev[o][0][row - o[0], col - o[1]] for o in cover]
                 spatial = sum(
                     overlap_ratio(op, oq, side) * np.sqrt(lu[a] * lu[b])

@@ -7,6 +7,7 @@ sizes where the law of large numbers leaves wide, pinned-seed margins.
 """
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,21 @@ class TestCoverageRate:
         inside = HsiCube(np.full((1, 1, 1), np.nextafter(1.0, 0.0)))
         assert coverage_rate(samples, on_edge)[1] == 1.0
         assert coverage_rate(samples, inside)[1] == 0.0
+        # A std stack scores each trial against its own std: the trial
+        # given the unit std is covered, the one given one ulp less is not.
+        stds = np.array([1.0, np.nextafter(1.0, 0.0)]).reshape(2, 1, 1, 1)
+        assert coverage_rate(samples, stds)[1] == 0.5
+        assert coverage_rate(samples, stds[::-1])[1] == 0.5
+        assert coverage_rate(samples, np.ones((2, 1, 1, 1)))[1] == 1.0
+
+    def test_repeated_std_stack_matches_single_std(self):
+        rng = np.random.default_rng(3)
+        samples = rng.standard_normal((40, 3, 4, 2))
+        sigma = HsiCube(rng.uniform(0.5, 1.5, size=(3, 4, 2)))
+        once = coverage_rate(samples, sigma)
+        stacked = coverage_rate(samples, np.repeat(sigma.data[None], 40, axis=0))
+        assert stacked[0].data.tobytes() == once[0].data.tobytes()
+        assert stacked[1:] == once[1:]
 
     def test_rejects_wrong_rank_or_single_trial(self):
         sigma = HsiCube(np.ones((2, 2, 2)))
@@ -109,8 +125,15 @@ class TestCoverageRate:
             coverage_rate(np.zeros((1, 2, 2, 2)), sigma)
 
     def test_rejects_mismatched_sigma_dims(self):
-        with pytest.raises(ValueError, match="dims"):
-            coverage_rate(np.zeros((3, 2, 2, 2)), HsiCube(np.ones((2, 2, 3))))
+        for sigma in (
+            HsiCube(np.ones((2, 2, 3))),
+            np.ones((2, 2, 2, 2)),  # a std stack one trial short
+            np.ones((4, 2, 2, 2)),  # a std stack one trial long
+            np.ones((3, 2, 2, 3)),  # a std stack with the wrong dims
+            np.ones((2, 2, 2)),  # one std as a bare array, not a cube
+        ):
+            with pytest.raises(ValueError, match="dims"):
+                coverage_rate(np.zeros((3, 2, 2, 2)), sigma)
 
 
 class TestMonteCarlo:
@@ -163,6 +186,30 @@ class TestMonteCarlo:
         cov, mean_c, std_c = coverage_rate(report.samples, report.sigma_hat)
         assert cov.data.tobytes() == report.coverage.data.tobytes()
         assert (mean_c, std_c) == (report.mean_coverage, report.std_coverage)
+
+    @pytest.mark.parametrize("sigma_mode", ["trial0", "per_trial"])
+    def test_coverage_goes_through_coverage_rate_once(self, monkeypatch, sigma_mode):
+        # One counting path: monte_carlo scores its kept sample stack with a
+        # single coverage_rate call, whose result the report carries.
+        calls = []
+        real = validate.coverage_rate
+
+        def spy(samples, sigma_hat):
+            calls.append((samples, sigma_hat))
+            return real(samples, sigma_hat)
+
+        monkeypatch.setattr(validate, "coverage_rate", spy)
+        clean, noise, cfg = mc_setup()
+        report = monte_carlo(clean, noise, cfg, trials=3, sigma_mode=sigma_mode,
+                             keep_samples=True)
+        assert len(calls) == 1
+        samples, sigma_hat = calls[0]
+        assert samples is report.samples
+        if sigma_mode == "trial0":
+            assert sigma_hat is report.sigma_hat
+        else:
+            assert sigma_hat.shape == report.samples.shape
+            assert sigma_hat[0].tobytes() == report.sigma_hat.data.tobytes()
 
     def test_per_trial_coverage_matches_whole_stack_oracle(self):
         clean, noise, cfg = mc_setup()
@@ -370,3 +417,16 @@ class TestTimingCompare:
         clean, noise, cfg = mc_setup()
         with pytest.raises(ValueError, match="mc_trials"):
             timing_compare(clean, noise, cfg, mc_trials=0)
+
+    def test_mc_route_keeps_no_trial_stack(self):
+        # The trial-based variance streams through two cube-sized sums; a
+        # (trials, M, N, P) stack alone would be 20 cubes here.
+        clean = synth_lowrank_cube((64, 64, 32), true_rank=3, seed=5)
+        cfg = PipelineConfig(window=WindowConfig(patch_side=8, step=4, rank=3), sigma0=0.05)
+        tracemalloc.start()
+        try:
+            timing_compare(clean, NoiseSpec(sigma0=0.05), cfg, mc_trials=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * clean.data.nbytes

@@ -114,24 +114,6 @@ class TestEnumeratePatches:
         with pytest.raises(ValueError, match="patch_side"):
             enumerate_patches((6, 6, 2), WindowConfig(patch_side=8, step=4, rank=1))
 
-    def test_covering_origins_matches_brute_force(self):
-        dims = (11, 11, 2)
-        grid = enumerate_patches(dims, WindowConfig(patch_side=4, step=3, rank=1))
-        for row, col in [(0, 0), (5, 5), (10, 10), (7, 2)]:
-            expected = [
-                (r, c)
-                for r, c in grid.origins
-                if r <= row < r + 4 and c <= col < c + 4
-            ]
-            assert grid.covering_origins(row, col) == expected
-
-    def test_covering_count_equals_coverage_everywhere(self):
-        dims = (11, 7, 2)
-        grid = enumerate_patches(dims, WindowConfig(patch_side=4, step=3, rank=1))
-        for row in range(dims[0]):
-            for col in range(dims[1]):
-                assert len(grid.covering_origins(row, col)) == grid.coverage.data[row, col, 0]
-
 
 class TestPatchMatrixReshaping:
     def test_single_pixel_patch_is_spectrum_row(self):
