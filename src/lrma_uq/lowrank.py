@@ -157,31 +157,46 @@ def _warm_svd(x: np.ndarray, v: np.ndarray) -> LowRankFactors | None:
     return LowRankFactors(u=u, s=s, v=v)
 
 
-# GoDec stops once an iteration lowers the residual norm by less than this
-# fraction of the input norm (of 1 for smaller inputs). It sits far above
-# the float64 rounding of that norm, about 1e-16 relative, so round-off
-# never decides the stop.
+# GoDec stops once an iteration lowers the residual norm by no more than a
+# fiftieth of that norm's own standard error under Gaussian noise: a K x L
+# residual of norm res has about res / sqrt(2 K L) of it, so smaller moves
+# are not resolved by the data. `_TOL` of the input norm (of 1 for smaller
+# inputs) is the floor: it sits far above the float64 rounding of that norm,
+# about 1e-16 relative, so round-off never decides the stop, and it alone
+# stops an exact low-rank input, whose residual is zero.
+_NOISE_STEPS = 50
 _TOL = 1e-7
 
 
-def _keep_largest(mat: np.ndarray, count: int) -> np.ndarray:
-    """Zero all but the `count` largest-magnitude entries.
+def _largest_index(mat: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices of the `count` largest-magnitude entries, in no order.
 
     Ties at the count-th largest magnitude are kept lowest flat index
     first, so the kept set is deterministic (the set a stable descending
     sort would keep).
     """
-    if count == 0:
-        return np.zeros_like(mat)
     flat = np.abs(mat).ravel()
     if count >= flat.size:
-        return mat.copy()
+        return np.arange(flat.size)
+    if count == 0:
+        return np.empty(0, dtype=np.intp)
     cut = flat.size - count
-    threshold = np.partition(flat, cut)[cut]
-    above = np.flatnonzero(flat > threshold)
-    ties = np.flatnonzero(flat == threshold)[:count - above.size]
-    keep = np.concatenate([above, ties])
-    out = np.zeros_like(mat)
+    # A copy, so the caller does not hold the whole argpartition array.
+    keep = np.argpartition(flat, cut)[cut:].copy()
+    threshold = flat[keep[0]]
+    if np.count_nonzero(flat >= threshold) > count:
+        # Ties straddle the cut: argpartition picked among them arbitrarily.
+        above = np.flatnonzero(flat > threshold)
+        ties = np.flatnonzero(flat == threshold)[:count - above.size]
+        keep = np.concatenate([above, ties])
+    return keep
+
+
+def _keep_largest(mat: np.ndarray, count: int) -> np.ndarray:
+    """Zero all but the `count` largest-magnitude entries (ties as in
+    `_largest_index`)."""
+    keep = _largest_index(mat, count)
+    out = np.zeros_like(mat, order="C")
     out.ravel()[keep] = mat.ravel()[keep]
     return out
 
@@ -202,7 +217,8 @@ def godec(
     steps on x^T x, then Rayleigh-Ritz on the r-dimensional subspace they
     reach, which costs one r x r eigendecomposition rather than a full Gram
     one. An iterate whose r x r Gram is nearly rank-deficient is refit by
-    the truncated SVD.
+    the truncated SVD. Inside the loop the sparse part is only the flat
+    indices and values of its entries; the dense one is built at the end.
 
     The residual norm is monotone non-increasing. The previous low-rank
     part has row space span(v), so it is no closer to x than the
@@ -211,10 +227,13 @@ def godec(
     sparse step keeps the residual's largest entries, which can only lower
     its norm.
 
-    Convergence: stops when the residual improves by less than `_TOL`
-    relative to the input norm, or after `max_iter` iterations. The
-    alternation is a local method starting from a zero sparse part, so a
-    sparse component whose magnitude rivals the input's spectral norm can
+    Convergence: stops once an iteration lowers the residual norm res by
+    no more than res / (50 sqrt(2 K L)), a fiftieth of that norm's standard
+    error under Gaussian noise, or by no more than `_TOL` times the input
+    norm (of 1 for smaller inputs), whichever is larger; or after
+    `max_iter` iterations. The floor alone stops an exact low-rank input.
+    The alternation is a local method starting from a zero sparse part, so
+    a sparse component whose magnitude rivals the input's spectral norm can
     be absorbed by the first low-rank fit instead of being isolated.
     """
     mat = np.asarray(mat, dtype=np.float64)
@@ -225,28 +244,38 @@ def godec(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
-    scale = np.linalg.norm(mat)
-    sparse = np.zeros_like(mat)
+    floor = _TOL * max(np.linalg.norm(mat), 1.0)
+    noise = _NOISE_STEPS * np.sqrt(2.0 * mat.size)
+    keep = np.empty(0, dtype=np.intp)
+    values = np.empty(0)
     history: list[float] = []
     factors = None
     converged = False
     prev = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        x = mat - sparse
+        x = mat
+        if keep.size:
+            x = mat.copy()
+            x.ravel()[keep] -= values
         warm = None if factors is None else _warm_svd(x, factors.v)
         factors = warm or truncated_svd(x, rank)
         low_rank = factors.matrix()
         residual = mat - low_rank
-        sparse = _keep_largest(residual, sparse_count)
-        res = float(np.linalg.norm(residual - sparse))
+        keep = _largest_index(residual, sparse_count)
+        flat = residual.ravel()
+        values = flat[keep]
+        flat[keep] = 0.0
+        res = float(np.linalg.norm(residual))
         history.append(res)
-        if sparse_count == 0 or prev - res <= _TOL * max(scale, 1.0):
+        if sparse_count == 0 or prev - res <= max(res / noise, floor):
             converged = True
             break
         prev = res
 
     assert factors is not None
+    sparse = np.zeros(mat.shape)
+    sparse.ravel()[keep] = values
     return GodecResult(
         low_rank=low_rank,
         sparse=sparse,

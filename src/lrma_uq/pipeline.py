@@ -59,7 +59,8 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
     Writes the row and column leverages of the fit factors into the
     (windows, J*J) `row_lev` and (windows, P) `col_lev` when given; only
     then does GoDec keep its factors, in preallocated row arrays. Returns
-    the (windows, J, J, P) approximations and the count of windows that hit
+    the (windows, J, J, P) approximations, each window's GoDec iteration
+    count (none for the truncated SVD) and the count of windows that hit
     the GoDec iteration cap. Each window's approximation overwrites its
     `patch_to_matrix` view of the gathered, C-contiguous row.
     """
@@ -68,6 +69,7 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
     row = np.moveaxis(windows, 1, 3)[col_origins]
     mats = patch_to_matrix(row)
     k = w.sparse_count(jside * jside * p)
+    iterations = []
     stalled = 0
     if k == 0:
         u, s, v = truncated_svd_batch(mats, w.rank)
@@ -79,13 +81,14 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
         for i, m in enumerate(mats):
             fit = godec(m, w.rank, k, max_iter=cfg.max_iter)
             m[...] = fit.low_rank
+            iterations.append(fit.iterations)
             if row_lev is not None:
                 u[i], v[i] = fit.factors.u, fit.factors.v
             stalled += not fit.converged
     if row_lev is not None:
         np.einsum("nur,nur->nu", u, u, out=row_lev)
         np.einsum("nvr,nvr->nv", v, v, out=col_lev)
-    return row, stalled
+    return row, iterations, stalled
 
 
 def _ordered(fn, count: int, workers: int):
@@ -138,6 +141,7 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
                         None if col_lev is None else col_lev[i])
 
     acc = HsiCube.zeros(cube.dims)
+    iterations = []
     stalled = 0
     with blas._one_thread():
         rows = _ordered(fit, ro.size, cfg.threads)
@@ -145,11 +149,15 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
             # next() rather than enumerate(), whose reused result tuple
             # would keep the previous row alive while the next is fitted;
             # `block` is deleted too, as it is a view of the row.
-            approx, capped = next(rows)
+            approx, row_iterations, capped = next(rows)
             for c, block in zip(co.tolist(), approx):
                 scatter_add_patch(acc, VoxelIndex(r, c, 0), block)
+            iterations += row_iterations
             stalled += capped
             del approx, block
+    if iterations:
+        _log.debug("godec: %d windows, %.2f mean and %d max iterations, %d capped",
+                   len(iterations), np.mean(iterations), max(iterations), stalled)
     if stalled:
         _log.warning("%d of %d patches hit the iteration cap before converging",
                      stalled, len(grid))

@@ -7,9 +7,10 @@ metric by key, so a pinned function that is deleted or made private, or a
 new module with a public function, breaks every traced run. These tests
 read BENCHMARK.json, the package and the benchmark's workload table, and
 check that every scene's denoise flags still parse into a config, that the
-pipeline's variance runs through the pinned `aggregate_variance`, and that
+pipeline's variance runs through the pinned `aggregate_variance`, that
 its windows are shaped by the pinned `patch_to_matrix` and deposited by
-the pinned `scatter_add_patch`.
+the pinned `scatter_add_patch`, and that a sparse budget fits each window
+through the pinned `godec`.
 """
 
 import importlib
@@ -140,3 +141,31 @@ def test_pipeline_windows_go_through_pinned_reshape(monkeypatch):
     cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1))
     denoise(cube, cfg)
     assert calls == [(3, 4, 4, 3)] * 4
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_pipeline_godec_is_called_once_per_window(monkeypatch, threads):
+    # `lowrank.godec` is pinned by call count, and the tracer's annotation
+    # reads its result's `iterations` and `converged` (the
+    # `lowrank.godec.iterations_mean` and `converged_ratio` metrics): with a
+    # sparse budget the pipeline calls it once per window, the window's
+    # matrix first.
+    calls = []
+    real = pipeline.godec
+
+    def spy(*args, **kwargs):
+        fit = real(*args, **kwargs)
+        calls.append((args[0], fit))
+        return fit
+
+    monkeypatch.setattr(pipeline, "godec", spy)
+    cube = HsiCube(np.random.default_rng(0).uniform(size=(10, 8, 3)))
+    cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1, sparse_card=0.1),
+                         sigma0=0.1, threads=threads)
+    denoise_with_uq(cube, cfg)
+    grid = pipeline.enumerate_patches(cube.dims, cfg.window)
+    assert len(calls) == len(grid)
+    for mat, fit in calls:
+        assert isinstance(mat, np.ndarray) and mat.shape == (16, 3)
+        assert np.ndim(fit.iterations) == 0 and 1 <= int(fit.iterations) <= cfg.max_iter
+        assert bool(fit.converged) in (True, False)

@@ -15,7 +15,7 @@ from lrma_uq import (
     truncated_svd_batch,
 )
 from lrma_uq import lowrank
-from lrma_uq.lowrank import _keep_largest
+from lrma_uq.lowrank import _keep_largest, _largest_index
 
 SQRT5 = np.sqrt(5.0)
 
@@ -196,6 +196,40 @@ class TestKeepLargest:
             np.testing.assert_array_equal(_keep_largest(mat, count), oracle)
 
 
+def _stable_top(mat, count):
+    """The flat indices a stable descending sort of |mat| keeps, sorted."""
+    return np.sort(np.argsort(-np.abs(mat).ravel(), kind="stable")[:count])
+
+
+class TestLargestIndex:
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 7, 8])
+    def test_ties_straddling_the_cut_keep_the_lowest_indices(self, count):
+        # Magnitude 2 sits at flat indices 1, 4, 6, 9 and 10, between three
+        # larger and four smaller entries, so every count from 4 to 7 cuts
+        # through the ties (and 1 and 3 do not).
+        mat = np.array([[1.0, -2.0, 5.0, 1.0],
+                        [2.0, 3.0, -2.0, 0.5],
+                        [4.0, 2.0, -2.0, 0.25]])
+        got = np.sort(_largest_index(mat, count))
+        np.testing.assert_array_equal(got, _stable_top(mat, count))
+
+    @pytest.mark.parametrize("count", [0, 1, 11, 23, 24, 25])
+    def test_all_equal_magnitudes(self, count):
+        mat = np.full((4, 6), 0.5)
+        mat[::2] *= -1.0
+        got = np.sort(_largest_index(mat, count))
+        np.testing.assert_array_equal(got, _stable_top(mat, count))
+        assert got.dtype == np.intp
+
+    def test_all_but_one_entry(self):
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            shape = tuple(rng.integers(1, 9, size=2))
+            mat = rng.integers(1, 4, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+            got = np.sort(_largest_index(mat, mat.size - 1))
+            np.testing.assert_array_equal(got, _stable_top(mat, mat.size - 1))
+
+
 class TestGodec:
     def test_exact_rank_input_is_fixed_point(self):
         rng = np.random.default_rng(19)
@@ -261,6 +295,38 @@ class TestGodec:
         assert res.iterations > 3
         rises = np.diff(res.residual_history)
         assert np.all(rises <= 1e-12 * np.linalg.norm(a))
+
+    def test_stops_at_the_noise_scale_on_a_scene_shaped_window(self):
+        # The window of the test above. Each iteration before the last
+        # lowers the residual norm by more than a fiftieth of its standard
+        # error under Gaussian noise, res / sqrt(2 K L) (or the _TOL floor);
+        # the last one does not. Stopping against the floor alone took 14
+        # iterations on this matrix.
+        rng = np.random.default_rng(26)
+        a = rng.uniform(0, 1, (400, 7)) @ rng.uniform(0, 1, (7, 64)) / 7
+        a += 0.05 * rng.standard_normal(a.shape)
+        hit = rng.random(a.shape) < 0.05
+        a[hit] = rng.integers(0, 2, hit.sum())
+        res = godec(a, 7, sparse_count=round(0.05 * a.size))
+        hist = np.asarray(res.residual_history)
+        floor = lowrank._TOL * np.linalg.norm(a)
+        bound = np.maximum(hist[1:] / (50 * np.sqrt(2 * a.size)), floor)
+        drops = hist[:-1] - hist[1:]
+        assert res.converged
+        assert np.all(drops[:-1] > bound[:-1])
+        assert drops[-1] <= bound[-1]
+        assert res.iterations == hist.size < 14
+
+    def test_transposed_input_matches_its_contiguous_copy(self):
+        # The sparse part is kept as flat indices into the C-ordered
+        # residual, so a Fortran-ordered input must not scramble it.
+        rng = np.random.default_rng(28)
+        a = rng.standard_normal((9, 14)).T
+        res = godec(a, 2, sparse_count=9)
+        oracle = godec(np.ascontiguousarray(a), 2, sparse_count=9)
+        np.testing.assert_array_equal(res.sparse, oracle.sparse)
+        np.testing.assert_array_equal(res.low_rank, oracle.low_rank)
+        assert np.count_nonzero(res.sparse) == 9
 
     def test_rank_deficient_iterate_takes_the_exact_fallback(self, monkeypatch):
         # A rank-2 input fitted at rank 3 keeps every iterate at rank 2, so

@@ -203,6 +203,39 @@ class TestDenoise:
         expected = [("lrma_uq.pipeline", logging.WARNING, message)] if sparse_card else []
         assert caplog.record_tuples == expected
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_godec_iterations_logged_at_debug(self, caplog, capsys, monkeypatch, threads):
+        # One DEBUG line per GoDec run sums up every window's fit, in any
+        # row order, and nothing reaches stdout; the batched TSVD of a zero
+        # budget logs none.
+        fits = []
+        real = pipeline.godec
+
+        def spy(*args, **kwargs):
+            fit = real(*args, **kwargs)
+            fits.append(fit)
+            return fit
+
+        monkeypatch.setattr(pipeline, "godec", spy)
+        noisy = add_gaussian(synth_lowrank_cube((12, 12, 6), true_rank=2, seed=3), 0.05, seed=3)
+        for sparse_card, max_iter in ((0.1, 100), (0.1, 2), (0, 100)):
+            fits.clear()
+            caplog.clear()
+            window = WindowConfig(patch_side=6, step=3, rank=2, sparse_card=sparse_card)
+            cfg = small_config(window=window, max_iter=max_iter, threads=threads)
+            with caplog.at_level(logging.DEBUG, logger="lrma_uq.pipeline"):
+                denoise(noisy, cfg)
+            debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+            if not sparse_card:
+                assert debug == [] and fits == []
+                continue
+            counts = [fit.iterations for fit in fits]
+            capped = sum(not fit.converged for fit in fits)
+            assert (capped > 0) == (max_iter == 2)
+            assert debug == [f"godec: 9 windows, {np.mean(counts):.2f} mean and "
+                             f"{max(counts)} max iterations, {capped} capped"]
+        assert capsys.readouterr().out == ""
+
 
 class TestThreadDeterminism:
     def test_thread_count_never_changes_output(self):
