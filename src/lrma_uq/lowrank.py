@@ -181,24 +181,10 @@ def _largest_index(mat: np.ndarray, count: int) -> np.ndarray:
     if count == 0:
         return np.empty(0, dtype=np.intp)
     cut = flat.size - count
-    # A copy, so the caller does not hold the whole argpartition array.
-    keep = np.argpartition(flat, cut)[cut:].copy()
-    threshold = flat[keep[0]]
-    if np.count_nonzero(flat >= threshold) > count:
-        # Ties straddle the cut: argpartition picked among them arbitrarily.
-        above = np.flatnonzero(flat > threshold)
-        ties = np.flatnonzero(flat == threshold)[:count - above.size]
-        keep = np.concatenate([above, ties])
-    return keep
-
-
-def _keep_largest(mat: np.ndarray, count: int) -> np.ndarray:
-    """Zero all but the `count` largest-magnitude entries (ties as in
-    `_largest_index`)."""
-    keep = _largest_index(mat, count)
-    out = np.zeros_like(mat, order="C")
-    out.ravel()[keep] = mat.ravel()[keep]
-    return out
+    threshold = np.partition(flat, cut)[cut]
+    above = np.flatnonzero(flat > threshold)
+    ties = np.flatnonzero(flat == threshold)[:count - above.size]
+    return np.concatenate([above, ties])
 
 
 def godec(

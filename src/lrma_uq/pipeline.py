@@ -59,18 +59,18 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
     Writes the row and column leverages of the fit factors into the
     (windows, J*J) `row_lev` and (windows, P) `col_lev` when given; only
     then does GoDec keep its factors, in preallocated row arrays. Returns
-    the (windows, J, J, P) approximations, each window's GoDec iteration
-    count (none for the truncated SVD) and the count of windows that hit
-    the GoDec iteration cap. Each window's approximation overwrites its
-    `patch_to_matrix` view of the gathered, C-contiguous row.
+    the (windows, J, J, P) approximations, the sum and the maximum of the
+    windows' GoDec iteration counts (0 for the truncated SVD) and the count
+    of windows that hit the GoDec iteration cap. Each window's
+    approximation overwrites its `patch_to_matrix` view of the gathered,
+    C-contiguous row.
     """
     w = cfg.window
     n, jside, p = col_origins.size, w.patch_side, windows.shape[1]
     row = np.moveaxis(windows, 1, 3)[col_origins]
     mats = patch_to_matrix(row)
     k = w.sparse_count(jside * jside * p)
-    iterations = []
-    stalled = 0
+    total = most = stalled = 0
     if k == 0:
         u, s, v = truncated_svd_batch(mats, w.rank)
         np.matmul(u * s[:, None, :], np.swapaxes(v, 1, 2), out=mats)
@@ -81,14 +81,15 @@ def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
         for i, m in enumerate(mats):
             fit = godec(m, w.rank, k, max_iter=cfg.max_iter)
             m[...] = fit.low_rank
-            iterations.append(fit.iterations)
+            total += fit.iterations
+            most = max(most, fit.iterations)
             if row_lev is not None:
                 u[i], v[i] = fit.factors.u, fit.factors.v
             stalled += not fit.converged
     if row_lev is not None:
         np.einsum("nur,nur->nu", u, u, out=row_lev)
         np.einsum("nvr,nvr->nv", v, v, out=col_lev)
-    return row, iterations, stalled
+    return row, total, most, stalled
 
 
 def _ordered(fn, count: int, workers: int):
@@ -141,23 +142,23 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
                         None if col_lev is None else col_lev[i])
 
     acc = HsiCube.zeros(cube.dims)
-    iterations = []
-    stalled = 0
+    total = most = stalled = 0
     with blas._one_thread():
         rows = _ordered(fit, ro.size, cfg.threads)
         for r in ro.tolist():
             # next() rather than enumerate(), whose reused result tuple
             # would keep the previous row alive while the next is fitted;
             # `block` is deleted too, as it is a view of the row.
-            approx, row_iterations, capped = next(rows)
+            approx, row_total, row_most, capped = next(rows)
             for c, block in zip(co.tolist(), approx):
                 scatter_add_patch(acc, VoxelIndex(r, c, 0), block)
-            iterations += row_iterations
+            total += row_total
+            most = max(most, row_most)
             stalled += capped
             del approx, block
-    if iterations:
+    if total:
         _log.debug("godec: %d windows, %.2f mean and %d max iterations, %d capped",
-                   len(iterations), np.mean(iterations), max(iterations), stalled)
+                   len(grid), total / len(grid), most, stalled)
     if stalled:
         _log.warning("%d of %d patches hit the iteration cap before converging",
                      stalled, len(grid))

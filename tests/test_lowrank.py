@@ -15,7 +15,7 @@ from lrma_uq import (
     truncated_svd_batch,
 )
 from lrma_uq import lowrank
-from lrma_uq.lowrank import _keep_largest, _largest_index
+from lrma_uq.lowrank import _largest_index
 
 SQRT5 = np.sqrt(5.0)
 
@@ -179,6 +179,15 @@ class TestTruncatedSvdBatch:
         bad[1, 0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             truncated_svd_batch(bad, 1)
+
+
+def _keep_largest(mat, count):
+    """Zero all but the `count` largest-magnitude entries, as `godec`'s
+    sparse step keeps them through `_largest_index`."""
+    keep = _largest_index(mat, count)
+    out = np.zeros_like(mat)
+    out.ravel()[keep] = mat.ravel()[keep]
+    return out
 
 
 class TestKeepLargest:
