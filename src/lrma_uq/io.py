@@ -41,12 +41,15 @@ class TruncatedPayloadError(ContainerError):
 
 
 def write_cube(cube: HsiCube, path: str, dtype: str = "f64") -> None:
-    """Serialize a cube; dtype "f32" narrows lossily, "f64" is exact."""
+    """Serialize a cube; "f64" is exact, "f32" narrows lossily and refuses overflow."""
     if dtype not in _DTYPES:
         raise UnknownDtypeError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
     m, n, p = cube.dims
     header = f"{_MAGIC} {m} {n} {p} {dtype} BSQ LE\n"
-    payload = np.ascontiguousarray(np.moveaxis(cube.data, 2, 0), dtype=_DTYPES[dtype])
+    with np.errstate(over="ignore"):  # the cube is finite: only narrowing makes an inf
+        payload = np.ascontiguousarray(np.moveaxis(cube.data, 2, 0), dtype=_DTYPES[dtype])
+    if dtype == "f32" and np.isinf([payload.min(), payload.max()]).any():
+        raise ValueError("cube holds values beyond the float32 range; write it as f64")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(memoryview(payload).cast("B"))

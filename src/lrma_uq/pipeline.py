@@ -15,7 +15,7 @@ from . import blas
 from .cube import HsiCube, VoxelIndex, hadamard_divide, scatter_add_patch
 from .lowrank import godec, truncated_svd_batch
 from .uncertainty import aggregate_variance
-from .windows import WindowConfig, enumerate_patches, patch_to_matrix
+from .windows import WindowConfig, _require_counts, enumerate_patches, patch_to_matrix
 
 _log = logging.getLogger(__name__)
 
@@ -42,54 +42,41 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        _require_counts(self, "max_iter", "threads")
 
 
-def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig,
-             row_lev: np.ndarray | None, col_lev: np.ndarray | None) -> tuple:
+def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig) -> tuple:
     """Rank-r fit of the windows at one row origin.
 
     `windows` is the (N-J+1, P, J, J) sliding-window view of the row's
     J-pixel slab; each window becomes a (J*J) x P matrix, pixels in
     row-major order by bands. A zero sparse budget fits the row with one
     batched truncated SVD; a positive one runs GoDec window by window.
-    Writes the row and column leverages of the fit factors into the
-    (windows, J*J) `row_lev` and (windows, P) `col_lev` when given; only
-    then does GoDec keep its factors, in preallocated row arrays. Returns
-    the (windows, J, J, P) approximations, the sum and the maximum of the
-    windows' GoDec iteration counts (0 for the truncated SVD) and the count
-    of windows that hit the GoDec iteration cap. Each window's
-    approximation overwrites its `patch_to_matrix` view of the gathered,
-    C-contiguous row.
+    Either way one batched matmul rebuilds each approximation u diag(s) v^T
+    over its `patch_to_matrix` view of the gathered, C-contiguous row.
+    Returns that (windows, J, J, P) row, the u (windows, J*J, r) and v
+    (windows, P, r) factors, the sum and the maximum of the windows' GoDec
+    iteration counts (0 for the truncated SVD) and the count of windows
+    that hit the GoDec iteration cap.
     """
     w = cfg.window
-    n, jside, p = col_origins.size, w.patch_side, windows.shape[1]
     row = np.moveaxis(windows, 1, 3)[col_origins]
     mats = patch_to_matrix(row)
-    k = w.sparse_count(jside * jside * p)
+    n, jj, p = mats.shape
+    k = w.sparse_count(jj * p)
     total = most = stalled = 0
     if k == 0:
         u, s, v = truncated_svd_batch(mats, w.rank)
-        np.matmul(u * s[:, None, :], np.swapaxes(v, 1, 2), out=mats)
     else:
-        if row_lev is not None:
-            u = np.empty((n, jside * jside, w.rank))
-            v = np.empty((n, p, w.rank))
+        u, s, v = np.empty((n, jj, w.rank)), np.empty((n, w.rank)), np.empty((n, p, w.rank))
         for i, m in enumerate(mats):
             fit = godec(m, w.rank, k, max_iter=cfg.max_iter)
-            m[...] = fit.low_rank
+            u[i], s[i], v[i] = fit.factors.u, fit.factors.s, fit.factors.v
             total += fit.iterations
             most = max(most, fit.iterations)
-            if row_lev is not None:
-                u[i], v[i] = fit.factors.u, fit.factors.v
             stalled += not fit.converged
-    if row_lev is not None:
-        np.einsum("nur,nur->nu", u, u, out=row_lev)
-        np.einsum("nvr,nvr->nv", v, v, out=col_lev)
-    return row, total, most, stalled
+    np.matmul(u * s[:, None, :], np.swapaxes(v, 1, 2), out=mats)
+    return row, u, v, total, most, stalled
 
 
 def _ordered(fn, count: int, workers: int):
@@ -119,43 +106,39 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     """Fit every window and average the fits: (grid, mean, row_lev, col_lev).
 
     Windows are fitted one origin row at a time, with numpy's OpenBLAS held
-    at one thread. As each row arrives its windows are added one at a time
+    at one thread; the workers only fit, and this thread writes every
+    output. As each row arrives its windows are added one at a time
     through `scatter_add_patch`, in grid.origins (sorted-origin) order, so
     no stack of all windows is ever held and every voxel's sum runs in the
-    same order for any worker count. The leverages are in grid.origins
-    order, or None when not asked for.
+    same order for any worker count. Then the row's leverages are formed
+    from its factors in that order, or None when not asked for.
     """
     grid = enumerate_patches(cube.dims, cfg.window)
     jside = cfg.window.patch_side
     ro, co = grid.row_origins, grid.col_origins
     slabs = sliding_window_view(cube.data, (jside, jside), axis=(0, 1))
-
-    row_lev = col_lev = None
     if leverage:
         row_lev = np.empty((ro.size, co.size, jside * jside))
         col_lev = np.empty((ro.size, co.size, cube.bands))
 
-    def fit(i: int) -> tuple:
-        # Each row writes its own slice of the leverage arrays.
-        return _fit_row(slabs[ro[i]], co, cfg,
-                        None if row_lev is None else row_lev[i],
-                        None if col_lev is None else col_lev[i])
-
     acc = HsiCube.zeros(cube.dims)
     total = most = stalled = 0
     with blas._one_thread():
-        rows = _ordered(fit, ro.size, cfg.threads)
-        for r in ro.tolist():
-            # next() rather than enumerate(), whose reused result tuple
+        rows = _ordered(lambda i: _fit_row(slabs[ro[i]], co, cfg), ro.size, cfg.threads)
+        for i, r in enumerate(ro.tolist()):
+            # next() rather than enumerate(rows), whose reused result tuple
             # would keep the previous row alive while the next is fitted;
             # `block` is deleted too, as it is a view of the row.
-            approx, row_total, row_most, capped = next(rows)
+            approx, u, v, row_total, row_most, capped = next(rows)
             for c, block in zip(co.tolist(), approx):
                 scatter_add_patch(acc, VoxelIndex(r, c, 0), block)
+            if leverage:
+                np.einsum("nur,nur->nu", u, u, out=row_lev[i])
+                np.einsum("nvr,nvr->nv", v, v, out=col_lev[i])
             total += row_total
             most = max(most, row_most)
             stalled += capped
-            del approx, block
+            del approx, block, u, v
     if total:
         _log.debug("godec: %d windows, %.2f mean and %d max iterations, %d capped",
                    len(grid), total / len(grid), most, stalled)

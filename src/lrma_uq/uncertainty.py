@@ -89,8 +89,10 @@ def aggregate_variance(
     one window per voxel this is sigma0^2 * (lu + lv).
 
     row_lev is (len(grid), J*J) and col_lev is (len(grid), P), both
-    non-negative and in grid.origins order.
+    non-negative and in grid.origins order; sigma0 must be finite and >= 0.
     """
+    if not 0 <= sigma0 < np.inf:
+        raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
     jside = grid.config.patch_side
     m, n, p = grid.dims
     count = len(grid)

@@ -13,6 +13,15 @@ from .cube import HsiCube, VoxelIndex, hadamard_divide, scatter_add_patch
 Origin = tuple[int, int]
 
 
+def _require_counts(cfg, *names: str) -> None:
+    """Check that the named fields of a config are integers >= 1 (numpy
+    integers pass), so no float reaches numpy slicing or `range`."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WindowConfig:
     """Sliding-window parameters.
@@ -31,14 +40,9 @@ class WindowConfig:
     sparse_card: float = 0
 
     def __post_init__(self) -> None:
-        if self.patch_side < 1:
-            raise ValueError(f"patch_side must be >= 1, got {self.patch_side}")
-        if not 1 <= self.step <= self.patch_side:
-            raise ValueError(
-                f"step must satisfy 1 <= step <= patch_side, got step={self.step}"
-            )
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        _require_counts(self, "patch_side", "step", "rank")
+        if self.step > self.patch_side:
+            raise ValueError(f"step must be <= patch_side {self.patch_side}, got {self.step}")
         if not 0 <= self.sparse_card < np.inf:
             raise ValueError(f"sparse_card must be finite and >= 0, got {self.sparse_card}")
         if self.sparse_card >= 1 and self.sparse_card != int(self.sparse_card):

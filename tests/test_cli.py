@@ -374,6 +374,24 @@ class TestRuntimeErrors:
         assert code == 1
         assert err == "error: truncated payload: expected 80000000000000 bytes, got 2\n"
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.28 PiB", "error: Unable to allocate 7.28 PiB\n"),
+        ("", "error: MemoryError\n"),  # as a failed bytearray raises it
+    ])
+    def test_failed_allocation_is_one_error_line(self, capsys, tmp_path, monkeypatch,
+                                                 message, line):
+        # The cube is never allocated: the synthesis raises what numpy or
+        # Python raise for a request larger than memory.
+        def refuse(dims, true_rank, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(lrma_uq.cli, "synth_lowrank_cube", refuse)
+        out = tmp_path / "x.hsic"
+        code, err = run(capsys, "simulate", "--dims", "100000,100000,1000", "--rank", "3",
+                        "--out", str(out))
+        assert (code, err) == (1, line)
+        assert not out.exists()
+
     @pytest.mark.parametrize("check", ["qq", "sw"])
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_sample_is_one_error_line(self, capsys, tmp_path, check, bad):

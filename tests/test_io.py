@@ -80,6 +80,17 @@ class TestCubeContainer:
         with pytest.raises(UnknownDtypeError, match="f16"):
             write_cube(random_cube(), str(tmp_path / "x.hsic"), dtype="f16")
 
+    def test_f32_write_refuses_values_beyond_float32_and_leaves_no_file(self, tmp_path):
+        data = np.zeros((2, 2, 2))
+        path = tmp_path / "big32.hsic"
+        for value in (1e39, -1e39):
+            data[1, 0, 1] = value
+            with pytest.raises(ValueError, match="float32 range"):
+                write_cube(HsiCube(data), str(path), dtype="f32")
+            assert not path.exists()
+        write_cube(HsiCube(data), str(path))  # f64 holds it exactly
+        assert read_cube(str(path)).data[1, 0, 1] == -1e39
+
     def test_write_is_byte_deterministic(self, tmp_path):
         cube = random_cube(seed=9)
         a, b = tmp_path / "a.hsic", tmp_path / "b.hsic"

@@ -66,6 +66,8 @@ class TestPipelineConfig:
             ({"max_iter": 0}, "max_iter"),
             ({"tol": 1e-7}, "tol"),
             ({"threads": 0}, "threads"),
+            ({"threads": 1.5}, "threads"),
+            ({"max_iter": 2.5}, "max_iter"),
         ],
     )
     def test_rejects_bad_values(self, kwargs, fragment):
@@ -74,6 +76,10 @@ class TestPipelineConfig:
         error = TypeError if fragment in ("solver", "tol") else ValueError
         with pytest.raises(error, match=fragment):
             PipelineConfig(**kwargs)
+
+    def test_accepts_numpy_integer_counts(self):
+        cfg = PipelineConfig(max_iter=np.int64(5), threads=np.int32(2))
+        assert (cfg.max_iter, cfg.threads) == (5, 2)
 
     @pytest.mark.parametrize("sigma0", [float("nan"), float("inf")])
     def test_rejects_non_finite_sigma0(self, sigma0):
@@ -382,10 +388,15 @@ class TestRowScheduler:
 
 
 class TestDenoiseWithUq:
-    def test_denoised_cube_matches_plain_denoise(self):
+    @pytest.mark.parametrize("sparse_card", [0, 9])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_denoised_cube_matches_plain_denoise(self, sparse_card, threads):
+        # Both fits rebuild their windows through one shared matmul, with or
+        # without the leverages, for any worker count.
         clean = synth_lowrank_cube((12, 12, 6), true_rank=2, seed=17)
         noisy = add_gaussian(clean, 0.05, seed=17)
-        cfg = small_config(sigma0=0.05)
+        window = WindowConfig(patch_side=6, step=3, rank=3, sparse_card=sparse_card)
+        cfg = small_config(window=window, sigma0=0.05, threads=threads)
         den_only = denoise(noisy, cfg)
         den, _ = denoise_with_uq(noisy, cfg)
         np.testing.assert_array_equal(den.data, den_only.data)

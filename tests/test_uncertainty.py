@@ -237,6 +237,13 @@ class TestAggregateVariance:
         with pytest.raises(ValueError, match="negative leverage"):
             aggregate_variance(ones_u, -ones_v, grid, 0.1)
 
+    @pytest.mark.parametrize("sigma0", [-0.1, float("nan"), float("inf")])
+    def test_bad_sigma0_rejected_before_any_work(self, sigma0):
+        # Leverages of the wrong shape would fail next: sigma0 is checked first.
+        grid = enumerate_patches((6, 6, 2), WindowConfig(patch_side=3, step=3, rank=1))
+        with pytest.raises(ValueError, match="sigma0 must be finite and >= 0"):
+            aggregate_variance(np.ones((1, 1)), np.ones((1, 1)), grid, sigma0)
+
 
 class TestSplitVariance:
     def test_lies_between_independent_and_full_bounds(self):

@@ -40,11 +40,18 @@ class TestWindowConfig:
             {"sparse_card": -1},
             {"sparse_card": 2.999},
             {"sparse_card": 1.5},
+            {"rank": 2.5},
+            {"patch_side": 8.5},
+            {"step": 2.5},
         ],
     )
     def test_invalid_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=list(kwargs)[0]):
             WindowConfig(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = WindowConfig(patch_side=np.int64(8), step=np.int32(4), rank=np.int16(3))
+        assert (cfg.patch_side, cfg.step, cfg.rank) == (8, 4, 3)
 
     @pytest.mark.parametrize("sparse_card", [float("nan"), float("inf")])
     def test_non_finite_sparse_card_rejected(self, sparse_card):
