@@ -186,8 +186,11 @@ def _cmd_noise(args: argparse.Namespace) -> None:
 
 
 def _cmd_denoise(args: argparse.Namespace) -> None:
-    if args.variance_out is not None and args.sigma0 is None:
-        raise _UsageError("--variance-out requires --sigma0")
+    if args.variance_out is not None:
+        if args.sigma0 is None:
+            raise _UsageError("--variance-out requires --sigma0")
+        if os.path.realpath(args.variance_out) == os.path.realpath(args.out):
+            raise _UsageError(f"--out and --variance-out name the same file: {args.out}")
     cube = read_cube(args.in_path)
     cfg = _pipeline_config(args, sigma0=args.sigma0 if args.sigma0 is not None else 0.0)
     if args.variance_out is not None:
@@ -198,48 +201,44 @@ def _cmd_denoise(args: argparse.Namespace) -> None:
         write_cube(denoise(cube, cfg), args.out)
 
 
-def _cmd_mc(args: argparse.Namespace) -> None:
+def _cmd_mc(args: argparse.Namespace):
     clean = read_cube(args.clean)
     cfg = _pipeline_config(args, sigma0=args.sigma0)
-    report = monte_carlo(
+    return monte_carlo(
         clean, _noise_spec(args), cfg,
         trials=args.trials,
         base_seed=args.seed,
         sigma_mode=args.sigma_mode.replace("-", "_"),
     )
-    write_report_csv(report, args.report)
 
 
-def _cmd_validate(args: argparse.Namespace) -> None:
+def _cmd_validate(args: argparse.Namespace):
     samples = _read_samples(args.samples)
-    if args.check == "qq":
-        write_qq_csv(qq_data(samples), args.report)
-    else:
-        write_report_csv(shapiro_wilk(samples), args.report)
+    if args.check == "sw":
+        return shapiro_wilk(samples)
+    write_qq_csv(qq_data(samples), args.report)
+    return None
 
 
-def _cmd_sweep_rank(args: argparse.Namespace) -> None:
+def _cmd_sweep_rank(args: argparse.Namespace):
     clean = read_cube(args.clean)
     cfg = _pipeline_config(args, sigma0=args.sigma0, rank=args.grid[0])
-    report = rank_sweep(clean, _noise_spec(args), cfg, args.grid, trials=args.trials, base_seed=args.seed)
-    write_report_csv(report, args.report)
+    return rank_sweep(clean, _noise_spec(args), cfg, args.grid, trials=args.trials, base_seed=args.seed)
 
 
-def _cmd_sweep_impulse(args: argparse.Namespace) -> None:
+def _cmd_sweep_impulse(args: argparse.Namespace):
     clean = read_cube(args.clean)
     cfg = _pipeline_config(args, sigma0=args.sigma0_grid[0])
-    report = impulse_sweep(
+    return impulse_sweep(
         clean, args.sigma0_grid, args.ratio_grid, cfg,
         trials=args.trials, base_seed=args.seed,
     )
-    write_report_csv(report, args.report)
 
 
-def _cmd_bench(args: argparse.Namespace) -> None:
+def _cmd_bench(args: argparse.Namespace):
     clean = read_cube(args.clean)
     cfg = _pipeline_config(args, sigma0=args.sigma0)
-    report = timing_compare(clean, _noise_spec(args), cfg, mc_trials=args.trials, base_seed=args.seed)
-    write_report_csv(report, args.report)
+    return timing_compare(clean, _noise_spec(args), cfg, mc_trials=args.trials, base_seed=args.seed)
 
 
 def _build_parser() -> _Parser:
@@ -330,7 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        args.func(args)
+        report = args.func(args)  # a report command returns its report; the rest write files
+        if report is not None:
+            write_report_csv(report, args.report)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

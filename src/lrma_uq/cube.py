@@ -14,6 +14,14 @@ from typing import NamedTuple
 import numpy as np
 
 
+def _require_counts(minimum: int = 1, /, **counts) -> None:
+    """Check that every named count is an integer >= minimum (numpy
+    integers pass), so no float reaches numpy slicing, `range` or a draw."""
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)) or value < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 class VoxelIndex(NamedTuple):
     """Zero-based (row, col, band) coordinate into a cube."""
 

@@ -10,6 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .cube import _require_counts
+
 logger = logging.getLogger(__name__)
 
 
@@ -85,7 +87,8 @@ def truncated_svd_batch(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.nda
     if not np.all(np.isfinite(mats)):
         raise ValueError("matrix entries must all be finite")
     _, k, l = mats.shape
-    if not 1 <= rank <= min(k, l):
+    _require_counts(rank=rank)
+    if rank > min(k, l):
         raise ValueError(f"rank must satisfy 1 <= rank <= {min(k, l)}, got {rank}")
     wide = k < l
     a = np.swapaxes(mats, 1, 2) if wide else mats
@@ -225,10 +228,8 @@ def godec(
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={mat.ndim}")
-    if sparse_count < 0:
-        raise ValueError(f"sparse_count must be >= 0, got {sparse_count}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _require_counts(0, sparse_count=sparse_count)
+    _require_counts(max_iter=max_iter)
 
     floor = _TOL * max(np.linalg.norm(mat), 1.0)
     noise = _NOISE_STEPS * np.sqrt(2.0 * mat.size)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, _require_counts
 
 # Distinct key words per consumer so gaussian, impulse, and synthesis draws
 # never share a counter stream even under the same user seed.
@@ -62,7 +62,8 @@ def synth_lowrank_cube(dims: tuple[int, int, int], true_rank: int, seed: int) ->
     m, n, p = dims
     if min(m, n, p) < 1:
         raise ValueError(f"cube dims must all be positive, got {dims}")
-    if not 1 <= true_rank <= min(m * n, p):
+    _require_counts(true_rank=true_rank)
+    if true_rank > min(m * n, p):
         raise ValueError(
             f"true_rank must be in [1, {min(m * n, p)}] for dims {dims}, got {true_rank}"
         )

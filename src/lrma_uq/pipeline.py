@@ -12,10 +12,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import blas
-from .cube import HsiCube, VoxelIndex, hadamard_divide, scatter_add_patch
+from .cube import HsiCube, VoxelIndex, _require_counts, hadamard_divide, scatter_add_patch
 from .lowrank import godec, truncated_svd_batch
 from .uncertainty import aggregate_variance
-from .windows import WindowConfig, _require_counts, enumerate_patches, patch_to_matrix
+from .windows import WindowConfig, enumerate_patches, patch_to_matrix
 
 _log = logging.getLogger(__name__)
 
@@ -42,7 +42,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.sigma0 < np.inf:
             raise ValueError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
-        _require_counts(self, "max_iter", "threads")
+        _require_counts(max_iter=self.max_iter, threads=self.threads)
 
 
 def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig) -> tuple:

@@ -5,11 +5,12 @@ rank / impulse / timing sweeps that exercise the pipeline end to end."""
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, _require_counts
 from .noise import NoiseSpec, apply_noise
 from .pipeline import PipelineConfig, denoise, denoise_with_uq
 
@@ -51,15 +52,14 @@ class McReport:
 
 @dataclass
 class NormalityReport:
-    """Shapiro-Wilk outcome plus plot-ready normal Q-Q pairs for one sample."""
+    """Shapiro-Wilk outcome for one sample; its Q-Q pairs are `qq_data`'s."""
 
     sw_statistic: float
     p_value: float
     n: int
-    qq_pairs: np.ndarray
 
     def csv_table(self) -> tuple[list[str], list[list]]:
-        """Header and rows of the report CSV (the Q-Q pairs are not in it)."""
+        """Header and rows of the report CSV."""
         return ["n", "sw_statistic", "p_value"], [[self.n, self.sw_statistic, self.p_value]]
 
 
@@ -155,8 +155,7 @@ def monte_carlo(
     trial stack, called once in either mode. Fixed seeds make the whole run
     bit-reproducible.
     """
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
+    _require_counts(2, trials=trials)
     if sigma_mode not in _SIGMA_MODES:
         raise ValueError(f"sigma_mode must be one of {_SIGMA_MODES}, got {sigma_mode!r}")
 
@@ -234,7 +233,7 @@ def qq_data(samples: np.ndarray) -> np.ndarray:
 
 
 def shapiro_wilk(samples: np.ndarray) -> NormalityReport:
-    """Shapiro-Wilk normality test with attached Q-Q pairs.
+    """Shapiro-Wilk normality test of one sample.
 
     Valid for 3 <= n <= 5000 (the range of the p-value approximation);
     sizes outside that range, constant samples and nan or inf are errors.
@@ -248,9 +247,17 @@ def shapiro_wilk(samples: np.ndarray) -> NormalityReport:
     from scipy.stats import shapiro  # imported here: no denoising path needs scipy
 
     w, p = shapiro(x)
-    return NormalityReport(
-        sw_statistic=float(w), p_value=float(p), n=n, qq_pairs=qq_data(x)
-    )
+    return NormalityReport(sw_statistic=float(w), p_value=float(p), n=n)
+
+
+def _sweep(clean: HsiCube, points: list[tuple[PipelineConfig, NoiseSpec]],
+           trials: int, base_seed: int) -> Iterator[McReport]:
+    """One `monte_carlo` report per (config, noise) point, in order. Every
+    point's window is checked against the cube before the first trial."""
+    for run_cfg, _ in points:
+        run_cfg.window.validate_for(clean.dims)
+    for run_cfg, noise in points:
+        yield monte_carlo(clean, noise, run_cfg, trials=trials, base_seed=base_seed)
 
 
 def rank_sweep(
@@ -265,20 +272,17 @@ def rank_sweep(
 
     The pipeline's sigma0 is synced to the noise recipe so the variance
     model always sees the std that was actually injected. Every rank's
-    config is built and checked against the cube before the first trial.
+    config is built and checked against the cube before the first trial,
+    so a fractional rank is an error, not a truncation.
     """
-    run_cfgs = [
-        replace(cfg, sigma0=noise.sigma0, window=replace(cfg.window, rank=int(r)))
+    points = [
+        (replace(cfg, sigma0=noise.sigma0, window=replace(cfg.window, rank=r)), noise)
         for r in ranks
     ]
-    for run_cfg in run_cfgs:
-        run_cfg.window.validate_for(clean.dims)
-    rows: list[tuple[int, float]] = []
-    for r, run_cfg in zip(ranks, run_cfgs):
-        report = monte_carlo(clean, noise, run_cfg, trials=trials, base_seed=base_seed)
-        rows.append((int(r), report.mean_coverage))
+    reports = _sweep(clean, points, trials, base_seed)
     return RankSweepReport(
-        rows=rows, sigma0=noise.sigma0, impulse_ratio=noise.impulse_ratio, trials=trials
+        rows=[(int(rep.config.window.rank), rep.mean_coverage) for rep in reports],
+        sigma0=noise.sigma0, impulse_ratio=noise.impulse_ratio, trials=trials,
     )
 
 
@@ -297,18 +301,13 @@ def impulse_sweep(
     point's config and noise recipe are built and checked before the first
     trial.
     """
-    cfg.window.validate_for(clean.dims)
     points = [
         (replace(cfg, sigma0=float(s0)), NoiseSpec(sigma0=float(s0), impulse_ratio=float(ratio)))
         for s0 in sigma0_list
         for ratio in ratio_list
     ]
-    rows: list[tuple[float, float, float, float]] = []
-    for run_cfg, noise in points:
-        report = monte_carlo(clean, noise, run_cfg, trials=trials, base_seed=base_seed)
-        rows.append(
-            (noise.sigma0, noise.impulse_ratio, report.mean_coverage, report.std_coverage)
-        )
+    reports = _sweep(clean, points, trials, base_seed)
+    rows = [(rep.sigma0, rep.impulse_ratio, rep.mean_coverage, rep.std_coverage) for rep in reports]
     return ImpulseSweepReport(rows=rows, trials=trials)
 
 
@@ -328,8 +327,7 @@ def timing_compare(
     attached. All three timings use the same clean cube, noise recipe, and
     worker count.
     """
-    if mc_trials < 1:
-        raise ValueError(f"mc_trials must be >= 1, got {mc_trials}")
+    _require_counts(mc_trials=mc_trials)
 
     t0 = time.perf_counter()
     total, total_sq = np.zeros((2, *clean.dims))

@@ -8,18 +8,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cube import HsiCube, VoxelIndex, hadamard_divide, scatter_add_patch
+from .cube import HsiCube, VoxelIndex, _require_counts, hadamard_divide, scatter_add_patch
 
 Origin = tuple[int, int]
-
-
-def _require_counts(cfg, *names: str) -> None:
-    """Check that the named fields of a config are integers >= 1 (numpy
-    integers pass), so no float reaches numpy slicing or `range`."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +31,7 @@ class WindowConfig:
     sparse_card: float = 0
 
     def __post_init__(self) -> None:
-        _require_counts(self, "patch_side", "step", "rank")
+        _require_counts(patch_side=self.patch_side, step=self.step, rank=self.rank)
         if self.step > self.patch_side:
             raise ValueError(f"step must be <= patch_side {self.patch_side}, got {self.step}")
         if not 0 <= self.sparse_card < np.inf:

@@ -159,6 +159,18 @@ class TestUsageErrors:
         assert code == 2
         assert err == "error: --variance-out requires --sigma0\n"
 
+    @pytest.mark.parametrize("out, variance_out", [("x", "x"), ("x", "./x")])
+    def test_denoise_refuses_one_path_for_both_outputs(self, capsys, tmp_path, monkeypatch,
+                                                       out, variance_out):
+        # The input is missing too: the path check runs before it is read.
+        monkeypatch.chdir(tmp_path)
+        code, err = run(capsys, "denoise", "--in", "missing.hsic", "--out", out,
+                        "--variance-out", variance_out, "--sigma0", "0.05")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "same file" in err
+        assert os.listdir(tmp_path) == []
+
     def test_removed_correlation_flag_is_rejected(self, capsys, tmp_path):
         # The pipeline has one variance model; the old bound modes are gone.
         clean = make_clean(capsys, tmp_path)

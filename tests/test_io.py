@@ -276,7 +276,6 @@ class TestReportCsv:
     def test_normality_report_schema(self, tmp_path):
         report = NormalityReport(
             sw_statistic=0.987654321987654, p_value=1e-17, n=100,
-            qq_pairs=np.zeros((100, 2)),
         )
         path = tmp_path / "sw.csv"
         write_report_csv(report, str(path))

@@ -11,6 +11,7 @@ from lrma_uq import (
     factor_error_samples,
     godec,
     procrustes_rectify,
+    synth_lowrank_cube,
     truncated_svd,
     truncated_svd_batch,
 )
@@ -102,6 +103,18 @@ class TestTruncatedSvd:
         a[2, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             truncated_svd(a, 2)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: truncated_svd(np.ones((8, 6)), 1.5), "rank"),
+    (lambda: godec(np.ones((8, 6)), 1, sparse_count=2.5), "sparse_count"),
+    (lambda: godec(np.ones((8, 6)), 1, max_iter=2.5), "max_iter"),
+    (lambda: synth_lowrank_cube((4, 4, 3), 2.5, 0), "true_rank"),
+], ids=["truncated_svd", "godec-sparse_count", "godec-max_iter", "synth_lowrank_cube"])
+def test_fractional_count_is_a_named_value_error(call, name):
+    # Each once failed inside numpy with a TypeError naming no parameter.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        call()
 
 
 def counting_svd(monkeypatch) -> list:

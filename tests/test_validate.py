@@ -238,6 +238,11 @@ class TestMonteCarlo:
         clean, noise, cfg = mc_setup()
         with pytest.raises(ValueError, match="trials"):
             monte_carlo(clean, noise, cfg, trials=1)
+        with pytest.raises(ValueError, match="trials must be an integer >= 2"):
+            monte_carlo(clean, noise, cfg, trials=2.5)
+        with pytest.raises(ValueError, match="trials must be an integer >= 2"):
+            rank_sweep(clean, noise, cfg, ranks=[2], trials=2.5)
+        assert monte_carlo(clean, noise, cfg, trials=np.int64(2)).trials == 2
         with pytest.raises(ValueError, match="sigma_mode"):
             monte_carlo(clean, noise, cfg, trials=2, sigma_mode="oracle")
 
@@ -305,7 +310,6 @@ class TestShapiroWilk:
         report = shapiro_wilk(blom_scores(100))
         assert report.sw_statistic > 0.995
         assert report.n == 100
-        assert report.qq_pairs.shape == (100, 2)
 
     def test_sample_size_bounds(self):
         with pytest.raises(ValueError, match=r"\[3, 5000\]"):
@@ -344,6 +348,21 @@ class TestRankSweep:
         with pytest.raises(ValueError, match="rank 9 exceeds"):
             rank_sweep(clean, noise, cfg, ranks=[2, 9], trials=2)
         assert calls == []
+
+    def test_fractional_rank_rejected_before_the_first_trial(self, monkeypatch):
+        # int(1.5) would fit rank 1 and label the row 1.
+        clean, noise, cfg = mc_setup()
+        calls = []
+        monkeypatch.setattr(validate, "monte_carlo", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            rank_sweep(clean, noise, cfg, ranks=[2, 1.5], trials=2)
+        assert calls == []
+
+    def test_numpy_integer_ranks_give_python_int_rows(self):
+        clean, noise, cfg = mc_setup()
+        report = rank_sweep(clean, noise, cfg, ranks=np.array([1, 2], dtype=np.int64), trials=2)
+        assert [type(r) for r, _ in report.rows] == [int, int]
+        assert [r for r, _ in report.rows] == [1, 2]
 
 
 class TestImpulseSweep:
@@ -417,6 +436,9 @@ class TestTimingCompare:
         clean, noise, cfg = mc_setup()
         with pytest.raises(ValueError, match="mc_trials"):
             timing_compare(clean, noise, cfg, mc_trials=0)
+        with pytest.raises(ValueError, match="mc_trials must be an integer >= 1"):
+            timing_compare(clean, noise, cfg, mc_trials=1.5)
+        assert timing_compare(clean, noise, cfg, mc_trials=np.int64(1)).mc_trials == 1
 
     def test_mc_route_keeps_no_trial_stack(self):
         # The trial-based variance streams through two cube-sized sums; a
