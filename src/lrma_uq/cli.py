@@ -99,16 +99,10 @@ def _list_of(kind: type, minimum: float, maximum: float | None = None):
 
 
 def _resolve_threads(value: int | None) -> int:
-    """Row workers: the flag, else LRMA_UQ_THREADS, else every usable core
-    when BLAS can be held at one thread per worker (otherwise 1)."""
+    """Row workers: the --threads value, else every usable core when BLAS
+    can be held at one thread per worker, else 1."""
     if value is not None:
         return value
-    env = os.environ.get("LRMA_UQ_THREADS")
-    if env:
-        try:
-            return _number(int, 1)(env)
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"LRMA_UQ_THREADS: {exc}") from None
     if not blas._can_pin():
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -132,10 +126,9 @@ def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -
                              "--sparse-card 0 (default godec)")
     parser.add_argument("--threads", type=_number(int, 1), default=None,
                         help="worker threads, each fitting one origin row of windows "
-                             "at a time with BLAS held at one thread (default: "
-                             "LRMA_UQ_THREADS, else the usable cores when numpy's "
-                             "OpenBLAS can be held at one thread, else 1); never "
-                             "changes output bytes")
+                             "at a time with BLAS held at one thread (default: the "
+                             "usable cores when numpy's OpenBLAS can be held at one "
+                             "thread, else 1); never changes output bytes")
 
 
 def _add_noise_flags(parser: argparse.ArgumentParser) -> None:
@@ -186,13 +179,10 @@ def _cmd_noise(args: argparse.Namespace) -> None:
 
 
 def _cmd_denoise(args: argparse.Namespace) -> None:
-    if args.variance_out is not None:
-        if args.sigma0 is None:
-            raise _UsageError("--variance-out requires --sigma0")
-        if os.path.realpath(args.variance_out) == os.path.realpath(args.out):
-            raise _UsageError(f"--out and --variance-out name the same file: {args.out}")
-    cube = read_cube(args.in_path)
+    if args.variance_out is not None and args.sigma0 is None:
+        raise _UsageError("--variance-out requires --sigma0")
     cfg = _pipeline_config(args, sigma0=args.sigma0 if args.sigma0 is not None else 0.0)
+    cube = read_cube(args.in_path)
     if args.variance_out is not None:
         den, var = denoise_with_uq(cube, cfg)
         write_cube(den, args.out)
@@ -202,8 +192,8 @@ def _cmd_denoise(args: argparse.Namespace) -> None:
 
 
 def _cmd_mc(args: argparse.Namespace):
-    clean = read_cube(args.clean)
     cfg = _pipeline_config(args, sigma0=args.sigma0)
+    clean = read_cube(args.clean)
     return monte_carlo(
         clean, _noise_spec(args), cfg,
         trials=args.trials,
@@ -221,14 +211,14 @@ def _cmd_validate(args: argparse.Namespace):
 
 
 def _cmd_sweep_rank(args: argparse.Namespace):
-    clean = read_cube(args.clean)
     cfg = _pipeline_config(args, sigma0=args.sigma0, rank=args.grid[0])
+    clean = read_cube(args.clean)
     return rank_sweep(clean, _noise_spec(args), cfg, args.grid, trials=args.trials, base_seed=args.seed)
 
 
 def _cmd_sweep_impulse(args: argparse.Namespace):
-    clean = read_cube(args.clean)
     cfg = _pipeline_config(args, sigma0=args.sigma0_grid[0])
+    clean = read_cube(args.clean)
     return impulse_sweep(
         clean, args.sigma0_grid, args.ratio_grid, cfg,
         trials=args.trials, base_seed=args.seed,
@@ -236,8 +226,8 @@ def _cmd_sweep_impulse(args: argparse.Namespace):
 
 
 def _cmd_bench(args: argparse.Namespace):
-    clean = read_cube(args.clean)
     cfg = _pipeline_config(args, sigma0=args.sigma0)
+    clean = read_cube(args.clean)
     return timing_compare(clean, _noise_spec(args), cfg, mc_trials=args.trials, base_seed=args.seed)
 
 
@@ -329,6 +319,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        seen: set[str] = set()  # no two path arguments may name one file
+        for dest in ("in_path", "clean", "samples", "out", "variance_out", "report"):
+            path = getattr(args, dest, None)
+            real = None if path is None else os.path.realpath(path)
+            if real in seen:
+                raise _UsageError(f"two path arguments name the same file: {path}")
+            if real is not None:
+                seen.add(real)
         report = args.func(args)  # a report command returns its report; the rest write files
         if report is not None:
             write_report_csv(report, args.report)

@@ -11,34 +11,32 @@ from .cube import HsiCube
 from .windows import Origin, PatchGrid, _cover_indicator
 
 
-def overlap_ratio(origin_p: Origin, origin_q: Origin, patch_side: int) -> float:
+def overlap_ratio(origin_p: Origin, origin_q: Origin, patch_side: int) -> float | np.ndarray:
     """Fraction of patch-matrix entries shared by two same-sized windows.
 
     Windows span all bands, so the band axis cancels and the fraction equals
     shared spatial pixels over pixels per window. Symmetric, translation
     invariant, 1.0 for identical origins, 0.0 for disjoint footprints.
+    Origin coordinates may be integer arrays, which broadcast.
     """
     if patch_side < 1:
         raise ValueError(f"patch_side must be >= 1, got {patch_side}")
-    dr = abs(origin_p[0] - origin_q[0])
-    dc = abs(origin_p[1] - origin_q[1])
-    if dr >= patch_side or dc >= patch_side:
-        return 0.0
-    return ((patch_side - dr) * (patch_side - dc)) / float(patch_side * patch_side)
+    shared = [np.maximum(patch_side - np.abs(np.subtract(a, b)), 0)
+              for a, b in zip(origin_p, origin_q)]
+    return (shared[0] * shared[1]) / float(patch_side * patch_side)
 
 
-def _slots(extent: int, origins: np.ndarray, patch_side: int) -> tuple:
-    """Slot table of one axis: for each pixel, the indices of the a covering
-    origins (padded by repeating the last one), the pixel's offset inside
-    each, a 1/0 real-slot mask, and the (extent, a, a) per-axis overlap
-    fractions (J - |d|) / J of distinct slots."""
-    cover = _cover_indicator(extent, origins, patch_side)
+def _slots(cover: np.ndarray, origins: np.ndarray, patch_side: int) -> tuple:
+    """Slot table of one axis from its (extent, origins) cover indicator: for
+    each pixel, the indices of the a covering origins (padded by repeating
+    the last one), the pixel's offset inside each, a 1/0 real-slot mask, and
+    the (extent, a, a) overlap fractions of distinct slots along the axis."""
     count = cover.sum(axis=1).astype(np.int64)[:, None]
     slot = np.arange(int(count.max()))
     index = cover.argmax(axis=1)[:, None] + np.minimum(slot, count - 1)
     start = origins[index]
-    offset = np.arange(extent)[:, None] - start
-    rho = (patch_side - np.abs(start[:, :, None] - start[:, None, :])) / patch_side
+    offset = np.arange(cover.shape[0])[:, None] - start
+    rho = overlap_ratio((start[:, :, None], 0), (start[:, None, :], 0), patch_side)
     rho[:, slot, slot] = 0.0  # a slot paired with itself is a p = q term
     return index, offset, (slot < count).astype(np.float64), rho
 
@@ -105,11 +103,12 @@ def aggregate_variance(
         raise ValueError("negative leverage")
     s2 = sigma0 * sigma0
     ro, co = grid.row_origins, grid.col_origins
+    cover_r, cover_c = _cover_indicator(m, ro, jside), _cover_indicator(n, co, jside)
     spatial = _spatial_plane(row_lev.reshape(ro.size, co.size, jside, jside), s2,
-                             _slots(m, ro, jside), _slots(n, co, jside))
+                             _slots(cover_r, ro, jside), _slots(cover_c, co, jside))
     roots = np.sqrt(s2 * col_lev).reshape(ro.size, co.size * p)
-    by_row = (_cover_indicator(m, ro, jside) @ roots).reshape(m, co.size, p)
-    out = np.matmul(_cover_indicator(n, co, jside), by_row)
+    by_row = (cover_r @ roots).reshape(m, co.size, p)
+    out = np.matmul(cover_c, by_row)
     np.square(out, out=out)
     out += spatial[:, :, None]
     phi = grid.coverage.data[:, :, :1]

@@ -121,7 +121,6 @@ def test_concurrent_callers_get_serial_bytes_and_restore_the_count(openblas):
 def test_without_openblas_default_is_one_worker_and_denoising_works(monkeypatch):
     noisy = noisy_cube()
     expected = denoise(noisy, config(2)).data
-    monkeypatch.delenv("LRMA_UQ_THREADS", raising=False)
     monkeypatch.setattr(blas, "_library", lambda: None)
     assert not blas._can_pin()
     assert _resolve_threads(None) == 1

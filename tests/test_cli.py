@@ -1,7 +1,7 @@
 """Command-line tests: the full subcommand chain on real files, flag
 defaults, usage errors (exit 2), runtime errors (exit 1), the `--solver`
-flag, thread determinism of output bytes, and the worker-count
-environment variable.
+flag, thread determinism of output bytes, the default worker count, and
+the settings and paths checked before any input is read.
 
 Everything drives `main(argv)` in process; files live in tmp_path.
 """
@@ -236,7 +236,6 @@ _BOUNDS = [
      "expected comma-separated numbers, got 'x'"),
     ("sweep impulse", "--ratio-grid", ",", "list must not be empty",
      "expected comma-separated numbers, got 'x'"),
-    ("denoise", "LRMA_UQ_THREADS", "0", None, None),
 ]
 
 
@@ -268,25 +267,56 @@ _LIST_BOUNDS = [
     pytest.param(command, flag, value, message, id=f"{command} {flag}={value}")
     for command, flag, value, message in _LIST_BOUNDS
 ])
-def test_range_checked_value_is_one_usage_error_line(
-        capsys, tmp_path, monkeypatch, command, flag, value, message):
-    if flag == "LRMA_UQ_THREADS":
-        # Read after the input cube, so the cube must exist.
-        monkeypatch.setenv(flag, value)
-        argv = ["denoise", "--in", str(make_clean(capsys, tmp_path)),
-                "--out", str(tmp_path / "o.hsic"), *SMALL_WINDOW]
-    else:
-        monkeypatch.delenv("LRMA_UQ_THREADS", raising=False)
-        argv = [*_VALID[command], f"{flag}={value}"]
+def test_range_checked_value_is_one_usage_error_line(capsys, command, flag, value, message):
+    code, out, err = main([*_VALID[command], f"{flag}={value}"]), *capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: argument {flag}: {message}\n"
+
+
+@pytest.mark.parametrize("command", sorted(set(_VALID) - {"simulate", "noise"}))
+def test_window_is_checked_before_the_input_is_read(capsys, tmp_path, monkeypatch, command):
+    # The input names a missing file: the config is built before any read.
+    monkeypatch.chdir(tmp_path)
+    code, err = run(capsys, *_VALID[command], "--window", "4", "--step", "5")
+    assert code == 1
+    assert err == "error: step must be <= patch_side 4, got 5\n"
+    assert os.listdir(tmp_path) == []
+
+
+# Command lines where two path arguments name one file in tmp_path: the same
+# spelling, a "./" spelling, or a symlink to the input. Apart from the clash
+# each is a valid run on the 12x12x6 cube, so a missed clash overwrites a file.
+_CLASHES = {
+    "mc --report=--clean": ["mc", "--clean", "clean.hsic", "--sigma0", "0.05",
+                            "--trials", "2", *SMALL_WINDOW, "--report", "clean.hsic"],
+    "validate sw --report=./--samples": ["validate", "sw", "--samples", "s.csv",
+                                         "--report", "./s.csv"],
+    "noise --out=symlink to --in": ["noise", "--in", "clean.hsic", "--sigma0", "0.05",
+                                    "--out", "link.hsic"],
+    "denoise --variance-out=--in": ["denoise", "--in", "clean.hsic", "--out", "o.hsic",
+                                    "--variance-out", "clean.hsic", "--sigma0", "0.05",
+                                    *SMALL_WINDOW],
+    "sweep rank --report=symlink to --clean": [
+        "sweep", "rank", "--clean", "clean.hsic", "--sigma0", "0.05", "--grid", "2",
+        "--trials", "2", "--window", "6", "--step", "3", "--report", "link.hsic"],
+    "bench --clean=./--report": ["bench", "--clean", "./clean.hsic", "--sigma0", "0.05",
+                                 "--trials", "1", *SMALL_WINDOW, "--report", "clean.hsic"],
+}
+
+
+@pytest.mark.parametrize("argv", list(_CLASHES.values()), ids=list(_CLASHES))
+def test_two_path_arguments_naming_one_file_is_one_usage_error_line(
+        capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    make_clean(capsys, tmp_path)
+    write_samples_csv(tmp_path / "s.csv")
+    os.symlink("clean.hsic", tmp_path / "link.hsic")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
     code, out, err = main(argv), *capsys.readouterr()
     assert code == 2 and out == ""
-    if message is not None:
-        assert err == f"error: argument {flag}: {message}\n"
-    else:
-        # The line names the variable and the rejected value.
-        assert err.startswith(f"error: {flag}") and err.count("\n") == 1
-        assert (f"'{value}'" if value == "x" else f" {value}") in err
-        assert not (tmp_path / "o.hsic").exists()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "same file" in err
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -442,31 +472,12 @@ class TestThreads:
             blobs.append((out.read_bytes(), var.read_bytes()))
         assert all(b == blobs[0] for b in blobs[1:])
 
-    def test_env_var_supplies_worker_count(self, capsys, tmp_path, monkeypatch):
-        clean = make_clean(capsys, tmp_path)
-        out = tmp_path / "out.hsic"
-        monkeypatch.setenv("LRMA_UQ_THREADS", "3")
-        code, err = run(capsys, "denoise", "--in", str(clean), "--out", str(out),
-                        *SMALL_WINDOW)
-        assert code == 0 and err == ""
-
-    def test_default_is_usable_cores_without_env_var(self, monkeypatch):
+    def test_default_is_usable_cores_without_env_var(self):
         # Workers pay off only with BLAS held to one thread, so the default
         # follows the usable cores only when numpy's OpenBLAS can be pinned.
-        monkeypatch.delenv("LRMA_UQ_THREADS", raising=False)
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert _resolve_threads(None) == (cores if blas._can_pin() else 1)
-        monkeypatch.setenv("LRMA_UQ_THREADS", "3")
-        assert _resolve_threads(None) == 3
         assert _resolve_threads(2) == 2
-
-    def test_env_var_must_be_a_positive_integer(self, capsys, tmp_path, monkeypatch):
-        clean = make_clean(capsys, tmp_path)
-        for bad in ("abc", "0"):
-            monkeypatch.setenv("LRMA_UQ_THREADS", bad)
-            code, err = run(capsys, "denoise", "--in", str(clean), "--out", "o.hsic",
-                            *SMALL_WINDOW)
-            assert code == 2 and "LRMA_UQ_THREADS" in err
 
 
 # Run in a fresh interpreter: this test process has long imported scipy.

@@ -116,6 +116,15 @@ class TestOverlapRatio:
             qs = (q[0] + shift[0], q[1] + shift[1])
             assert overlap_ratio(p, q, 5) == overlap_ratio(ps, qs, 5)
 
+    def test_array_call_equals_scalar_calls(self):
+        # Origin arrays broadcast; disjoint pairs read 0.0 as in a scalar call.
+        p, q = np.random.default_rng(37).integers(0, 12, (2, 2, 60))
+        got = overlap_ratio((p[0], p[1]), (q[0], q[1]), 4)
+        want = [overlap_ratio((int(p[0, i]), int(p[1, i])), (int(q[0, i]), int(q[1, i])), 4)
+                for i in range(60)]
+        assert got.shape == (60,) and got.tolist() == want
+        assert 0.0 in want and max(want) > 0.0
+
     def test_matches_footprint_intersection_oracle(self):
         rng = np.random.default_rng(36)
         for _ in range(50):
