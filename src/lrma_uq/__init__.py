@@ -9,7 +9,6 @@ from .io import (
     TruncatedPayloadError,
     UnknownDtypeError,
     read_cube,
-    read_report_csv,
     write_cube,
     write_qq_csv,
     write_report_csv,
@@ -17,9 +16,7 @@ from .io import (
 from .lowrank import (
     GodecResult,
     LowRankFactors,
-    factor_error_samples,
     godec,
-    procrustes_rectify,
     truncated_svd,
     truncated_svd_batch,
 )
@@ -65,7 +62,6 @@ __all__ = [
     "read_cube",
     "write_report_csv",
     "write_qq_csv",
-    "read_report_csv",
     "WindowConfig",
     "PatchGrid",
     "enumerate_patches",
@@ -76,8 +72,6 @@ __all__ = [
     "truncated_svd",
     "truncated_svd_batch",
     "godec",
-    "procrustes_rectify",
-    "factor_error_samples",
     "overlap_ratio",
     "aggregate_variance",
     "NoiseSpec",

@@ -99,7 +99,7 @@ def _list_of(kind: type, minimum: float, maximum: float | None = None):
 
 
 def _resolve_threads(value: int | None) -> int:
-    """Row workers: the --threads value, else every usable core when BLAS
+    """Fitting workers: the --threads value, else every usable core when BLAS
     can be held at one thread per worker, else 1."""
     if value is not None:
         return value
@@ -125,10 +125,11 @@ def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -
                         help="tsvd fits without the sparse step, the same as "
                              "--sparse-card 0 (default godec)")
     parser.add_argument("--threads", type=_number(int, 1), default=None,
-                        help="worker threads, each fitting one origin row of windows "
-                             "at a time with BLAS held at one thread (default: the "
-                             "usable cores when numpy's OpenBLAS can be held at one "
-                             "thread, else 1); never changes output bytes")
+                        help="worker threads, each fitting one group of origin rows "
+                             "of windows (up to about 1 MiB, at least one row) at a "
+                             "time with BLAS held at one thread (default: the usable "
+                             "cores when numpy's OpenBLAS can be held at one thread, "
+                             "else 1); never changes output bytes")
 
 
 def _add_noise_flags(parser: argparse.ArgumentParser) -> None:

@@ -140,15 +140,3 @@ def write_qq_csv(pairs: np.ndarray, path: str) -> None:
         raise ValueError(f"pairs must be (n, 2), got shape {pairs.shape}")
     order = np.argsort(pairs[:, 0], kind="stable")
     _write_rows(path, ["theoretical", "empirical"], [list(r) for r in pairs[order]])
-
-
-def read_report_csv(path: str) -> tuple[list[str], list[list[float]]]:
-    """Parse back a report CSV: (header, numeric rows)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"empty CSV: {path}") from None
-        rows = [[float(tok) for tok in row] for row in reader]
-    return header, rows

@@ -1,18 +1,13 @@
-"""Low-rank matrix fitting: truncated SVD, an alternating low-rank plus
-sparse solver, orthogonal factor rectification, and sampling of factor
-estimation errors for distributional checks."""
+"""Low-rank matrix fitting: the truncated SVD, one matrix or a batched
+stack at a time, and an alternating low-rank plus sparse solver."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .cube import _require_counts
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -20,24 +15,12 @@ class LowRankFactors:
     """A rank-r factorization u @ diag(s) @ v.T of some K x L matrix.
 
     u (K, r) and v (L, r) have orthonormal columns and s holds the
-    nonnegative singular values in descending order. The balanced split
-    x = u * sqrt(s), y = v * sqrt(s) satisfies x @ y.T = matrix() and
-    x.T @ x = y.T @ y = diag(s); factor estimation errors are measured
-    in this normal form because it makes their row covariance isotropic
-    per singular direction.
+    nonnegative singular values in descending order.
     """
 
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.u * np.sqrt(self.s)
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.v * np.sqrt(self.s)
 
     @property
     def rank(self) -> int:
@@ -195,13 +178,18 @@ def godec(
     rank: int,
     sparse_count: int = 0,
     max_iter: int = 100,
+    *,
+    start: LowRankFactors | None = None,
 ) -> GodecResult:
     """Alternating decomposition of a matrix into low-rank plus sparse parts.
 
     Each iteration fits x = input - sparse at rank r, then rebuilds the
     sparse part from the `sparse_count` largest-magnitude residual entries.
     The first fit is the truncated SVD of the input, so with
-    sparse_count = 0 the result equals a single truncated SVD. Later fits
+    sparse_count = 0 the result equals a single truncated SVD. A caller
+    that already holds that SVD, such as a batched fit of many windows,
+    passes it as `start` (rank-r factors of a K x L input, else ValueError)
+    and the first fit is skipped; the result is the same. Later fits
     warm-start from the previous iterate's right factor v: two block power
     steps on x^T x, then Rayleigh-Ritz on the r-dimensional subspace they
     reach, which costs one r x r eigendecomposition rather than a full Gram
@@ -230,6 +218,12 @@ def godec(
         raise ValueError(f"expected a 2-D matrix, got ndim={mat.ndim}")
     _require_counts(0, sparse_count=sparse_count)
     _require_counts(max_iter=max_iter)
+    if start is not None:
+        k, l = mat.shape
+        shapes = (start.u.shape, start.s.shape, start.v.shape)
+        if shapes != ((k, rank), (rank,), (l, rank)):
+            raise ValueError(f"start must hold rank-{rank} factors of a {k}x{l} matrix, "
+                             f"got u, s, v of shapes {shapes}")
 
     floor = _TOL * max(np.linalg.norm(mat), 1.0)
     noise = _NOISE_STEPS * np.sqrt(2.0 * mat.size)
@@ -245,8 +239,10 @@ def godec(
         if keep.size:
             x = mat.copy()
             x.ravel()[keep] -= values
-        warm = None if factors is None else _warm_svd(x, factors.v)
-        factors = warm or truncated_svd(x, rank)
+        if factors is None:
+            factors = start or truncated_svd(x, rank)
+        else:
+            factors = _warm_svd(x, factors.v) or truncated_svd(x, rank)
         low_rank = factors.matrix()
         residual = mat - low_rank
         keep = _largest_index(residual, sparse_count)
@@ -271,72 +267,3 @@ def godec(
         converged=converged,
         residual_history=history,
     )
-
-
-def procrustes_rectify(
-    x_hat: np.ndarray,
-    y_hat: np.ndarray,
-    x_ref: np.ndarray,
-    y_ref: np.ndarray,
-) -> np.ndarray:
-    """Orthogonal matrix aligning estimated factors with reference factors.
-
-    Returns the r x r orthogonal R minimizing
-    ||x_hat R - x_ref||_F^2 + ||y_hat R - y_ref||_F^2,
-    computed from the SVD of x_hat.T @ x_ref + y_hat.T @ y_ref as U @ V.T.
-    Factorizations are only identified up to such a rotation, so estimation
-    error is measured after applying R.
-    """
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    x_ref = np.asarray(x_ref, dtype=np.float64)
-    y_ref = np.asarray(y_ref, dtype=np.float64)
-    if x_hat.shape != x_ref.shape or y_hat.shape != y_ref.shape:
-        raise ValueError("factor shapes must match their references")
-    if x_hat.shape[1] != y_hat.shape[1]:
-        raise ValueError(
-            f"x and y must share the factor rank, got {x_hat.shape[1]} and {y_hat.shape[1]}"
-        )
-    cross = x_hat.T @ x_ref + y_hat.T @ y_ref
-    if not cross.any():
-        # Degenerate alignment problem: every orthogonal matrix attains the
-        # same objective, so fall back to the identity.
-        logger.warning("alignment cross-product is exactly zero; returning identity")
-        return np.eye(cross.shape[0])
-    u, _, vt = np.linalg.svd(cross)
-    return u @ vt
-
-
-def factor_error_samples(
-    truth: LowRankFactors,
-    trials: Sequence[LowRankFactors],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical row covariances of rectified factor estimation errors.
-
-    For each trial factorization, finds the orthogonal rectification R
-    aligning its balanced factors (x, y) with the truth's, then stacks the
-    rows of (x_hat @ R - x_ref) across trials, and likewise for y. Returns
-    the centered empirical r x r covariance of the stacked x-error rows and
-    of the stacked y-error rows. Under small additive white noise of scale
-    sigma0 both covariances approach sigma0^2 * diag(1/s) where s are the
-    truth's singular values.
-    """
-    if len(trials) < 2:
-        raise ValueError(f"need at least 2 trial factorizations, got {len(trials)}")
-    x_ref, y_ref = truth.x, truth.y
-    rank = truth.rank
-    x_rows = np.empty((len(trials) * x_ref.shape[0], rank), dtype=np.float64)
-    y_rows = np.empty((len(trials) * y_ref.shape[0], rank), dtype=np.float64)
-    for i, trial in enumerate(trials):
-        if trial.u.shape != truth.u.shape or trial.v.shape != truth.v.shape:
-            raise ValueError("all trial factorizations must match the truth's shape")
-        x_hat, y_hat = trial.x, trial.y
-        r = procrustes_rectify(x_hat, y_hat, x_ref, y_ref)
-        x_rows[i * x_ref.shape[0]:(i + 1) * x_ref.shape[0]] = x_hat @ r - x_ref
-        y_rows[i * y_ref.shape[0]:(i + 1) * y_ref.shape[0]] = y_hat @ r - y_ref
-
-    def _cov(rows: np.ndarray) -> np.ndarray:
-        centered = rows - rows.mean(axis=0)
-        return centered.T @ centered / rows.shape[0]
-
-    return _cov(x_rows), _cov(y_rows)

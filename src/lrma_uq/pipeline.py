@@ -13,11 +13,20 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import blas
 from .cube import HsiCube, VoxelIndex, _require_counts, hadamard_divide, scatter_add_patch
-from .lowrank import godec, truncated_svd_batch
+from .lowrank import LowRankFactors, godec, truncated_svd_batch
 from .uncertainty import aggregate_variance
 from .windows import WindowConfig, enumerate_patches, patch_to_matrix
 
 _log = logging.getLogger(__name__)
+
+# Byte budget of one group of origin rows once gathered: rows join a group
+# while it stays within the budget, and every group holds at least one row.
+# A group pays the fixed cost of its numpy calls once, not once per row; a
+# row over the budget is a group of its own, so large scenes keep one row
+# in flight per worker. Groups are not split to feed more workers: on
+# 40x40x16 (window 8/4/3) with two workers, two groups of the nine rows
+# denoised slower than one.
+_GROUP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -27,11 +36,11 @@ class PipelineConfig:
     The window's sparse budget alone picks the fit: zero runs the batched
     truncated SVD, a positive budget GoDec. sigma0 is the global noise std
     used only by the variance path. threads is the number of workers that
-    fit origin rows of windows concurrently, the calling thread being one
-    of them (1 = serial, the default here; the CLI defaults to the usable
-    cores). The fit holds numpy's OpenBLAS at one thread for every worker
-    count (see `blas._one_thread`), so the workers never oversubscribe the
-    cores or change the output bytes.
+    fit groups of origin rows of windows concurrently, the calling thread
+    being one of them (1 = serial, the default here; the CLI defaults to
+    the usable cores). The fit holds numpy's OpenBLAS at one thread for
+    every worker count (see `blas._one_thread`), so the workers never
+    oversubscribe the cores or change the output bytes.
     """
 
     window: WindowConfig = WindowConfig()
@@ -45,51 +54,52 @@ class PipelineConfig:
         _require_counts(max_iter=self.max_iter, threads=self.threads)
 
 
-def _fit_row(windows: np.ndarray, col_origins: np.ndarray, cfg: PipelineConfig) -> tuple:
-    """Rank-r fit of the windows at one row origin.
+def _fit_group(group: np.ndarray, cfg: PipelineConfig) -> tuple:
+    """Rank-r fit of a group of consecutive origin rows of windows.
 
-    `windows` is the (N-J+1, P, J, J) sliding-window view of the row's
-    J-pixel slab; each window becomes a (J*J) x P matrix, pixels in
-    row-major order by bands. A zero sparse budget fits the row with one
-    batched truncated SVD; a positive one runs GoDec window by window.
-    Either way one batched matmul rebuilds each approximation u diag(s) v^T
-    over its `patch_to_matrix` view of the gathered, C-contiguous row.
-    Returns that (windows, J, J, P) row, the u (windows, J*J, r) and v
-    (windows, P, r) factors, the sum and the maximum of the windows' GoDec
-    iteration counts (0 for the truncated SVD) and the count of windows
-    that hit the GoDec iteration cap.
+    `group` is the gathered, C-contiguous (rows, windows, J, J, P) group;
+    each window is a (J*J) x P matrix, pixels in row-major order by bands.
+    One batched truncated SVD fits every window of the group. A positive
+    sparse budget then refines each window with GoDec, started from that
+    SVD. One batched matmul per row rebuilds each approximation
+    u diag(s) v^T over the row's `patch_to_matrix` view. Returns the group
+    as (windows, J, J, P), the u (windows, J*J, r) and v (windows, P, r)
+    factors, the sum and the maximum of the windows' GoDec iteration
+    counts (0 for the truncated SVD) and the count of windows that hit
+    the GoDec iteration cap.
     """
     w = cfg.window
-    row = np.moveaxis(windows, 1, 3)[col_origins]
-    mats = patch_to_matrix(row)
-    n, jj, p = mats.shape
-    k = w.sparse_count(jj * p)
+    rows, n, j, _, p = group.shape
+    mats = group.reshape(rows * n, j * j, p)
+    k = w.sparse_count(j * j * p)
+    u, s, v = truncated_svd_batch(mats, w.rank)
     total = most = stalled = 0
-    if k == 0:
-        u, s, v = truncated_svd_batch(mats, w.rank)
-    else:
-        u, s, v = np.empty((n, jj, w.rank)), np.empty((n, w.rank)), np.empty((n, p, w.rank))
+    if k:
         for i, m in enumerate(mats):
-            fit = godec(m, w.rank, k, max_iter=cfg.max_iter)
+            start = LowRankFactors(u=u[i], s=s[i], v=v[i])
+            fit = godec(m, w.rank, k, max_iter=cfg.max_iter, start=start)
             u[i], s[i], v[i] = fit.factors.u, fit.factors.s, fit.factors.v
             total += fit.iterations
             most = max(most, fit.iterations)
             stalled += not fit.converged
-    np.matmul(u * s[:, None, :], np.swapaxes(v, 1, 2), out=mats)
-    return row, u, v, total, most, stalled
+    us = (u * s[:, None, :]).reshape(rows, n, j * j, w.rank)
+    vt = np.swapaxes(v, 1, 2).reshape(rows, n, w.rank, p)
+    for row, us_row, vt_row in zip(group, us, vt):
+        np.matmul(us_row, vt_row, out=patch_to_matrix(row))
+    return group.reshape(rows * n, j, j, p), u, v, total, most, stalled
 
 
 def _ordered(fn, count: int, workers: int):
     """Yield fn(0), ..., fn(count - 1) in order, computed by `workers` threads.
 
-    Rows go in batches of `workers`: the pool fits all but the first row of
-    a batch while the calling thread fits the first, and every pool result
-    is read in order, so a worker's exception is raised here. Each future
-    is popped before its row is yielded, so no row stays alive here once
-    the consumer drops it.
+    Groups of rows go in batches of `workers`: the pool fits all but the
+    first group of a batch while the calling thread fits the first, and
+    every pool result is read in order, so a worker's exception is raised
+    here. Each future is popped before its group is yielded, so no group
+    stays alive here once the consumer drops it.
 
     Keep the caller a worker: a plain pool of `workers` threads with the
-    caller only consuming holds one more row in flight, which raised peak
+    caller only consuming holds one more group in flight, which raised peak
     RSS by 9-12% on both benchmark scenes, past the 5% bound (see ROADMAP).
     Keep the pool at `workers` - 1: a submit that races a thread's return
     to idle would start one more fitting thread, which costs RSS too.
@@ -105,38 +115,47 @@ def _ordered(fn, count: int, workers: int):
 def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     """Fit every window and average the fits: (grid, mean, row_lev, col_lev).
 
-    Windows are fitted one origin row at a time, with numpy's OpenBLAS held
-    at one thread; the workers only fit, and this thread writes every
-    output. As each row arrives its windows are added one at a time
-    through `scatter_add_patch`, in grid.origins (sorted-origin) order, so
-    no stack of all windows is ever held and every voxel's sum runs in the
-    same order for any worker count. Then the row's leverages are formed
-    from its factors in that order, or None when not asked for.
+    Windows are fitted in groups of consecutive whole origin rows, as many
+    as fit in `_GROUP_BYTES` once gathered and at least one, with numpy's
+    OpenBLAS held at one thread; the workers only fit, and this thread
+    writes every output. As each group arrives its windows are added one
+    at a time through `scatter_add_patch`, in grid.origins (sorted-origin)
+    order, so no stack of all windows is ever held and every voxel's sum
+    runs in the same order for any worker count or group size. Then the
+    group's leverages are formed from its factors in that order, or None
+    when not asked for.
     """
     grid = enumerate_patches(cube.dims, cfg.window)
     jside = cfg.window.patch_side
     ro, co = grid.row_origins, grid.col_origins
-    slabs = sliding_window_view(cube.data, (jside, jside), axis=(0, 1))
+    # (row origin, col origin, J, J, P): every window position, as a view.
+    windows = np.moveaxis(sliding_window_view(cube.data, (jside, jside), axis=(0, 1)), 2, 4)
+    row_bytes = co.size * jside * jside * cube.bands * cube.data.itemsize
+    per = max(1, _GROUP_BYTES // row_bytes)
+    groups = [ro[i:i + per, None] for i in range(0, ro.size, per)]
     if leverage:
-        row_lev = np.empty((ro.size, co.size, jside * jside))
-        col_lev = np.empty((ro.size, co.size, cube.bands))
+        row_lev = np.empty((len(grid), jside * jside))
+        col_lev = np.empty((len(grid), cube.bands))
 
     acc = HsiCube.zeros(cube.dims)
     total = most = stalled = 0
+    done = 0
     with blas._one_thread():
-        rows = _ordered(lambda i: _fit_row(slabs[ro[i]], co, cfg), ro.size, cfg.threads)
-        for i, r in enumerate(ro.tolist()):
-            # next() rather than enumerate(rows), whose reused result tuple
-            # would keep the previous row alive while the next is fitted;
-            # `block` is deleted too, as it is a view of the row.
-            approx, u, v, row_total, row_most, capped = next(rows)
-            for c, block in zip(co.tolist(), approx):
+        fits = _ordered(lambda g: _fit_group(windows[groups[g], co], cfg), len(groups), cfg.threads)
+        for _ in groups:
+            # next() rather than zip(groups, fits), whose reused result
+            # tuple would keep the previous group alive while the next is
+            # fitted; `block` is deleted too, as it is a view of the group.
+            approx, u, v, group_total, group_most, capped = next(fits)
+            here = slice(done, done + len(approx))
+            for (r, c), block in zip(grid.origins[here], approx):
                 scatter_add_patch(acc, VoxelIndex(r, c, 0), block)
             if leverage:
-                np.einsum("nur,nur->nu", u, u, out=row_lev[i])
-                np.einsum("nvr,nvr->nv", v, v, out=col_lev[i])
-            total += row_total
-            most = max(most, row_most)
+                np.einsum("nur,nur->nu", u, u, out=row_lev[here])
+                np.einsum("nvr,nvr->nv", v, v, out=col_lev[here])
+            done = here.stop
+            total += group_total
+            most = max(most, group_most)
             stalled += capped
             del approx, block, u, v
     if total:
@@ -148,7 +167,7 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     mean = hadamard_divide(acc, grid.coverage)
     if not leverage:
         return grid, mean, None, None
-    return grid, mean, row_lev.reshape(len(grid), -1), col_lev.reshape(len(grid), -1)
+    return grid, mean, row_lev, col_lev
 
 
 def denoise(cube: HsiCube, cfg: PipelineConfig) -> HsiCube:

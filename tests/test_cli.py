@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import lrma_uq
-from lrma_uq import blas, read_cube, read_report_csv
+from lrma_uq import blas, read_cube
 from lrma_uq.cli import _build_parser, _resolve_threads, main
+from oracles import read_report_csv
 
 SMALL_WINDOW = ["--window", "6", "--step", "3", "--rank", "2"]
 

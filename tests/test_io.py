@@ -25,11 +25,11 @@ from lrma_uq import (
     UnknownDtypeError,
     cli,
     read_cube,
-    read_report_csv,
     write_cube,
     write_qq_csv,
     write_report_csv,
 )
+from oracles import read_report_csv
 
 
 def random_cube(dims=(4, 3, 5), seed=0) -> HsiCube:

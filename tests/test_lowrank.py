@@ -8,15 +8,14 @@ import pytest
 
 from lrma_uq import (
     LowRankFactors,
-    factor_error_samples,
     godec,
-    procrustes_rectify,
     synth_lowrank_cube,
     truncated_svd,
     truncated_svd_batch,
 )
 from lrma_uq import lowrank
 from lrma_uq.lowrank import _largest_index
+from oracles import balanced, factor_error_samples, procrustes_rectify
 
 SQRT5 = np.sqrt(5.0)
 
@@ -72,9 +71,10 @@ class TestTruncatedSvd:
     def test_balanced_split_carries_sigma(self):
         rng = np.random.default_rng(16)
         f = truncated_svd(rng.standard_normal((9, 6)), 3)
-        np.testing.assert_allclose(f.x.T @ f.x, np.diag(f.s), rtol=0, atol=1e-10)
-        np.testing.assert_allclose(f.y.T @ f.y, np.diag(f.s), rtol=0, atol=1e-10)
-        np.testing.assert_allclose(f.x @ f.y.T, f.matrix(), rtol=0, atol=1e-12)
+        x, y = balanced(f)
+        np.testing.assert_allclose(x.T @ x, np.diag(f.s), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(y.T @ y, np.diag(f.s), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(x @ y.T, f.matrix(), rtol=0, atol=1e-12)
 
     def test_leverage_mass_sums_to_rank(self):
         rng = np.random.default_rng(17)
@@ -399,27 +399,82 @@ class TestGodec:
             godec(np.ones((4, 4)), 9)
 
 
+def scene_windows(seed: int, count: int) -> np.ndarray:
+    """(count, 400, 64) stack: 20x20-pixel, 64-band windows of a rank-7
+    scene with 5% impulses, as the pipeline fits them."""
+    rng = np.random.default_rng(seed)
+    mats = rng.uniform(0, 1, (count, 400, 7)) @ rng.uniform(0, 1, (7, 64)) / 7
+    mats += 0.05 * rng.standard_normal(mats.shape)
+    hit = rng.random(mats.shape) < 0.05
+    mats[hit] = rng.integers(0, 2, hit.sum())
+    return mats
+
+
+class TestGodecStart:
+    """`godec(..., start=f)` with f the input's rank-r truncated SVD skips
+    the first fit and returns exactly what `godec` returns without it."""
+
+    @staticmethod
+    def assert_same(started, plain):
+        np.testing.assert_array_equal(started.low_rank, plain.low_rank)
+        np.testing.assert_array_equal(started.sparse, plain.sparse)
+        for name in ("u", "s", "v"):
+            np.testing.assert_array_equal(getattr(started.factors, name),
+                                          getattr(plain.factors, name))
+        assert started.iterations == plain.iterations
+        assert started.converged == plain.converged
+        assert started.residual_history == plain.residual_history
+
+    @pytest.mark.parametrize("sparse_count, max_iter", [(1280, 100), (0, 100), (1280, 1)],
+                             ids=["5%", "no-budget", "one-iteration"])
+    def test_start_from_truncated_svd_changes_nothing(self, sparse_count, max_iter):
+        for mat in scene_windows(61, 3):
+            plain = godec(mat, 7, sparse_count, max_iter=max_iter)
+            started = godec(mat, 7, sparse_count, max_iter=max_iter,
+                            start=truncated_svd(mat, 7))
+            self.assert_same(started, plain)
+
+    def test_start_from_a_batched_stack_changes_nothing(self):
+        # The pipeline's route: one batched SVD of many windows starts each.
+        mats = scene_windows(62, 6)
+        u, s, v = truncated_svd_batch(mats, 7)
+        for i, mat in enumerate(mats):
+            start = LowRankFactors(u=u[i], s=s[i], v=v[i])
+            self.assert_same(godec(mat, 7, 1280, start=start), godec(mat, 7, 1280))
+
+    @pytest.mark.parametrize("start_of", [
+        lambda a: truncated_svd(a, 3),
+        lambda a: truncated_svd(a[1:], 2),
+        lambda a: truncated_svd(a[:, 1:], 2),
+        lambda a: truncated_svd(a.T, 2),
+    ], ids=["rank", "K", "L", "transposed"])
+    def test_misshapen_start_rejected(self, start_of):
+        a = np.random.default_rng(63).standard_normal((12, 9))
+        with pytest.raises(ValueError, match="start must hold rank-2 factors of a 12x9"):
+            godec(a, 2, 4, start=start_of(a))
+
+
 class TestProcrustesRectify:
     def test_identity_when_already_aligned(self):
         rng = np.random.default_rng(25)
-        f = truncated_svd(rng.standard_normal((10, 8)), 3)
-        r = procrustes_rectify(f.x, f.y, f.x, f.y)
+        fx, fy = balanced(truncated_svd(rng.standard_normal((10, 8)), 3))
+        r = procrustes_rectify(fx, fy, fx, fy)
         np.testing.assert_allclose(r, np.eye(3), rtol=0, atol=1e-10)
 
     def test_recovers_gauge_rotation(self):
         rng = np.random.default_rng(26)
-        f = truncated_svd(rng.standard_normal((10, 8)), 3)
+        fx, fy = balanced(truncated_svd(rng.standard_normal((10, 8)), 3))
         q = random_orthogonal(rng, 3)
-        r = procrustes_rectify(f.x @ q, f.y @ q, f.x, f.y)
+        r = procrustes_rectify(fx @ q, fy @ q, fx, fy)
         np.testing.assert_allclose(r, q.T, rtol=0, atol=1e-10)
-        residual = np.linalg.norm(f.x @ q @ r - f.x) + np.linalg.norm(f.y @ q @ r - f.y)
+        residual = np.linalg.norm(fx @ q @ r - fx) + np.linalg.norm(fy @ q @ r - fy)
         assert residual <= 1e-10
 
     def test_orthogonality_of_result(self):
         rng = np.random.default_rng(27)
-        f = truncated_svd(rng.standard_normal((10, 8)), 3)
-        g = truncated_svd(rng.standard_normal((10, 8)), 3)
-        r = procrustes_rectify(g.x, g.y, f.x, f.y)
+        fx, fy = balanced(truncated_svd(rng.standard_normal((10, 8)), 3))
+        gx, gy = balanced(truncated_svd(rng.standard_normal((10, 8)), 3))
+        r = procrustes_rectify(gx, gy, fx, fy)
         np.testing.assert_allclose(r @ r.T, np.eye(3), rtol=0, atol=1e-10)
 
     def test_beats_random_rotations(self):
@@ -427,20 +482,21 @@ class TestProcrustesRectify:
         f = truncated_svd(rng.standard_normal((12, 9)), 3)
         noisy = f.matrix() + 0.05 * rng.standard_normal((12, 9))
         g = truncated_svd(noisy, 3)
+        (fx, fy), (gx, gy) = balanced(f), balanced(g)
 
         def objective(rot):
             return (
-                np.linalg.norm(g.x @ rot - f.x) ** 2
-                + np.linalg.norm(g.y @ rot - f.y) ** 2
+                np.linalg.norm(gx @ rot - fx) ** 2
+                + np.linalg.norm(gy @ rot - fy) ** 2
             )
 
-        best = objective(procrustes_rectify(g.x, g.y, f.x, f.y))
+        best = objective(procrustes_rectify(gx, gy, fx, fy))
         for _ in range(100):
             assert best <= objective(random_orthogonal(rng, 3)) + 1e-12
 
     def test_zero_input_falls_back_to_identity(self, caplog):
         z = np.zeros((6, 2))
-        with caplog.at_level(logging.WARNING, logger="lrma_uq.lowrank"):
+        with caplog.at_level(logging.WARNING, logger="oracles"):
             r = procrustes_rectify(z, np.zeros((4, 2)), z, np.zeros((4, 2)))
         np.testing.assert_array_equal(r, np.eye(2))
         assert any("zero" in rec.message for rec in caplog.records)

@@ -169,14 +169,20 @@ class TestDenoise:
         assert calls == []
 
     def test_godec_fit_makes_one_full_eigh_per_window(self, monkeypatch):
-        # Only GoDec's first iteration takes the P x P Gram eigendecomposition;
-        # later ones warm-start and decompose an r x r Gram.
+        # Only GoDec's first fit takes the P x P Gram eigendecomposition, in
+        # the group's batched SVD; later ones warm-start and decompose an
+        # r x r Gram. Matrices are counted, so a stack of n counts n.
         clean = synth_lowrank_cube((12, 12, 6), true_rank=2, seed=44)
         noisy = apply_noise(clean, NoiseSpec(sigma0=0.05, impulse_ratio=0.05, seed=44))
         window = WindowConfig(patch_side=6, step=3, rank=2, sparse_card=0.05)
         sizes = []
         real = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: sizes.append(a.shape[-1]) or real(a))
+
+        def eigh(a):
+            sizes.extend([a.shape[-1]] * int(np.prod(a.shape[:-2])))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
         denoise(noisy, small_config(window=window))
         windows = len(enumerate_patches(noisy.dims, window))
         assert sizes.count(6) == windows
@@ -280,6 +286,57 @@ class TestThreadDeterminism:
         for den, var in outputs[1:]:
             np.testing.assert_array_equal(den, outputs[0][0])
             np.testing.assert_array_equal(var, outputs[0][1])
+
+
+class TestRowGroups:
+    """Origin rows are fitted in groups of up to `_GROUP_BYTES` once
+    gathered, at least one row each. On a 23x14x5 image with window 5/3,
+    7 row origins of 4 windows make 4,000-byte rows: a 1 MiB budget holds
+    all 7 in one group, 12,000 bytes splits them 3/3/1, and 3,999 bytes
+    leaves one row per group."""
+
+    DIMS = (23, 14, 5)
+    ROW_BYTES = 4 * 5 * 5 * 5 * 8
+    BUDGETS = [1 << 20, 3 * ROW_BYTES, ROW_BYTES - 1]
+
+    @pytest.fixture(scope="class", params=[0, 0.05], ids=["tsvd", "godec"])
+    def case(self, request):
+        clean = synth_lowrank_cube(self.DIMS, true_rank=2, seed=53)
+        noisy = apply_noise(clean, NoiseSpec(sigma0=0.05, impulse_ratio=0.05, seed=53))
+        window = WindowConfig(patch_side=5, step=3, rank=3, sparse_card=request.param)
+        grid = enumerate_patches(noisy.dims, window)
+        assert grid.row_origins.size == 7 and grid.col_origins.size == 4
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "_GROUP_BYTES", 0)  # one row per group
+            den, var = denoise_with_uq(noisy, small_config(window=window, sigma0=0.05))
+        return noisy, window, den.data, var.data
+
+    @pytest.mark.parametrize("budget", BUDGETS, ids=["all-rows", "3-3-1", "below-a-row"])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_group_size_never_changes_output(self, monkeypatch, case, budget, threads):
+        noisy, window, den_rows, var_rows = case
+        monkeypatch.setattr(pipeline, "_GROUP_BYTES", budget)
+        den, var = denoise_with_uq(noisy, small_config(window=window, sigma0=0.05,
+                                                       threads=threads))
+        np.testing.assert_array_equal(den.data, den_rows)
+        np.testing.assert_array_equal(var.data, var_rows)
+
+    @pytest.mark.parametrize("budget, groups", zip(BUDGETS, [[7], [3, 3, 1], [1] * 7]),
+                             ids=["all-rows", "3-3-1", "below-a-row"])
+    def test_no_group_exceeds_the_budget_or_one_row(self, monkeypatch, budget, groups):
+        stacks = []
+        real = pipeline.truncated_svd_batch
+
+        def spy(mats, rank):
+            stacks.append(mats.nbytes)
+            return real(mats, rank)
+
+        monkeypatch.setattr(pipeline, "_GROUP_BYTES", budget)
+        monkeypatch.setattr(pipeline, "truncated_svd_batch", spy)
+        noisy = add_gaussian(synth_lowrank_cube(self.DIMS, true_rank=2, seed=54), 0.05, seed=54)
+        denoise(noisy, small_config(window=WindowConfig(patch_side=5, step=3, rank=3)))
+        assert max(stacks) <= max(budget, self.ROW_BYTES)
+        assert stacks == [rows * self.ROW_BYTES for rows in groups]
 
 
 class _Recorded:
