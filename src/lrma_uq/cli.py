@@ -68,19 +68,6 @@ def _number(kind: type, minimum: float, maximum: float | None = None):
     return parse
 
 
-def _dims(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected M,N,P, got {text!r}")
-    try:
-        m, n, p = (int(t) for t in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-integer dimension in {text!r}") from None
-    if min(m, n, p) < 1:
-        raise argparse.ArgumentTypeError(f"dimensions must be positive, got {text!r}")
-    return m, n, p
-
-
 def _list_of(kind: type, minimum: float, maximum: float | None = None):
     """Parser of a non-empty comma-separated list of `kind` values, each
     range-checked as `_number` checks one."""
@@ -96,6 +83,13 @@ def _list_of(kind: type, minimum: float, maximum: float | None = None):
         return [_in_range(value, minimum, maximum) for value in values]
 
     return parse
+
+
+def _dims(text: str) -> tuple[int, int, int]:
+    dims = _list_of(int, 1)(text)
+    if len(dims) != 3:
+        raise argparse.ArgumentTypeError(f"expected M,N,P, got {text!r}")
+    return tuple(dims)
 
 
 def _resolve_threads(value: int | None) -> int:

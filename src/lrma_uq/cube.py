@@ -34,7 +34,8 @@ class HsiCube:
     """Dense M x N x P cube of float64 values.
 
     The wrapped array is stored with shape (M, N, P). Inputs of any real
-    dtype are widened to float64 on ingest; non-finite values are rejected.
+    dtype are widened to float64 on ingest, and copy=False wraps a float64
+    array without copying it; non-finite values are rejected.
     Treat a cube as immutable once shared: only `scatter_add_patch` mutates,
     and only accumulators that the caller owns exclusively. An accumulator
     may wrap an array of any memory layout (C, Fortran or strided).
@@ -43,7 +44,7 @@ class HsiCube:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray, copy: bool = True) -> None:
-        arr = np.array(data, dtype=np.float64, copy=copy)
+        arr = np.array(data, dtype=np.float64, copy=copy or None)
         if arr.ndim != 3:
             raise ValueError(f"cube data must be 3-D (rows, cols, bands), got ndim={arr.ndim}")
         if min(arr.shape) < 1:

@@ -53,16 +53,40 @@ class GodecResult:
 _GRAM_FLOOR = 1e-8
 
 
+def _gram_fit(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-r factors u, s, v of every finite matrix in an (..., K, L) array.
+
+    The top r eigenpairs of the Gram matrix on the smaller side (A^T A, or
+    A A^T when K < L) give that side's singular vectors and s = sqrt(lambda);
+    the other side is A v / s, and signs follow `truncated_svd`. A matrix
+    whose Gram is zero or nearly rank-deficient (see _GRAM_FLOOR) is refit
+    by the full SVD, one at a time, and flagged in the returned (...) mask.
+    """
+    wide = a.shape[-2] < a.shape[-1]
+    t = np.swapaxes(a, -1, -2) if wide else a
+    lam, vec = np.linalg.eigh(np.swapaxes(t, -1, -2) @ t)
+    lam = lam[..., ::-1][..., :rank]
+    near = vec[..., ::-1][..., :rank]
+    failed = ~(lam[..., 0] > 0) | (lam[..., -1] < _GRAM_FLOOR * lam[..., 0])
+    s = np.sqrt(np.where(failed[..., None], 1.0, lam))
+    far = t @ near
+    far /= s[..., None, :]
+    u, v = (near, far) if wide else (far, near)
+    if failed.any():  # skips np.argwhere, 5% of a warm GoDec step on a 0-d mask
+        for i in map(tuple, np.argwhere(failed)):
+            ui, si, vti = np.linalg.svd(a[i], full_matrices=False)
+            u[i], s[i], v[i] = ui[:, :rank], si[:rank], vti[:rank].T
+    u, v = _anchor_signs(u, v)
+    return u, s, v, failed
+
+
 def truncated_svd_batch(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-r truncated SVD of every matrix in an (n, K, L) stack.
 
     Returns stacks u (n, K, r), s (n, r) and v (n, L, r); each slice follows
-    the conventions of `truncated_svd`. The top r eigenpairs of the Gram
-    matrix on the smaller side (A^T A, or A A^T when K < L) give that side's
-    singular vectors and s = sqrt(lambda); the other side is A v / s. One
-    batched matmul and one batched eigh serve the whole stack; a zero or
-    nearly rank-deficient matrix (see _GRAM_FLOOR) is refit with the full
-    SVD instead.
+    the conventions of `truncated_svd`. One batched Gram matmul and one
+    batched eigh serve the whole stack; a zero or nearly rank-deficient
+    matrix is refit with the full SVD (see `_gram_fit`).
     """
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim != 3:
@@ -73,21 +97,7 @@ def truncated_svd_batch(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.nda
     _require_counts(rank=rank)
     if rank > min(k, l):
         raise ValueError(f"rank must satisfy 1 <= rank <= {min(k, l)}, got {rank}")
-    wide = k < l
-    a = np.swapaxes(mats, 1, 2) if wide else mats
-    lam, vec = np.linalg.eigh(np.swapaxes(a, 1, 2) @ a)
-    lam = lam[:, ::-1][:, :rank]
-    near = vec[:, :, ::-1][:, :, :rank]
-    refit = (lam[:, 0] <= 0) | (lam[:, -1] < _GRAM_FLOOR * lam[:, 0])
-    s = np.sqrt(np.where(refit[:, None], 1.0, lam))
-    far = a @ near
-    far /= s[:, None, :]
-    u, v = (near, far) if wide else (far, near)
-    for i in np.flatnonzero(refit):
-        ui, si, vti = np.linalg.svd(mats[i], full_matrices=False)
-        u[i], s[i], v[i] = ui[:, :rank], si[:rank], vti[:rank].T
-    u, v = _anchor_signs(u, v)
-    return u, s, v
+    return _gram_fit(mats, rank)[:3]
 
 
 def _anchor_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,28 +129,6 @@ def truncated_svd(mat: np.ndarray, rank: int) -> LowRankFactors:
 # budget), one step ended 36 with a sparse support other than the one the
 # exact fit reaches; two steps ended 6.
 _POWER_STEPS = 2
-
-
-def _warm_svd(x: np.ndarray, v: np.ndarray) -> LowRankFactors | None:
-    """Rank-r factors of x by subspace iteration from a right factor v (L, r).
-
-    Two block power steps q = orth(x^T x q) start from q = v; Rayleigh-Ritz
-    on span(q) then takes the eigenpairs (lambda, w) of the r x r Gram of
-    b = x q, so s = sqrt(lambda), u = b w / s, v = q w and u diag(s) v^T is
-    x q q^T. Signs follow `truncated_svd`. Returns None when that Gram is
-    zero or nearly rank-deficient (see _GRAM_FLOOR), for an exact refit.
-    """
-    q = v
-    for _ in range(_POWER_STEPS):
-        q = np.linalg.qr(x.T @ (x @ q))[0]
-    b = x @ q
-    lam, w = np.linalg.eigh(b.T @ b)
-    lam, w = lam[::-1], w[:, ::-1]
-    if not lam[0] > 0 or lam[-1] < _GRAM_FLOOR * lam[0]:
-        return None
-    s = np.sqrt(lam)
-    u, v = _anchor_signs(b @ w / s, q @ w)
-    return LowRankFactors(u=u, s=s, v=v)
 
 
 # GoDec stops once an iteration lowers the residual norm by no more than a
@@ -191,11 +179,12 @@ def godec(
     passes it as `start` (rank-r factors of a K x L input, else ValueError)
     and the first fit is skipped; the result is the same. Later fits
     warm-start from the previous iterate's right factor v: two block power
-    steps on x^T x, then Rayleigh-Ritz on the r-dimensional subspace they
-    reach, which costs one r x r eigendecomposition rather than a full Gram
-    one. An iterate whose r x r Gram is nearly rank-deficient is refit by
-    the truncated SVD. Inside the loop the sparse part is only the flat
-    indices and values of its entries; the dense one is built at the end.
+    steps q = orth(x^T x q) from q = v, then Rayleigh-Ritz, where the
+    truncated SVD's Gram fit of the K x r matrix x q gives u, s and w, and
+    v = q w: one r x r eigendecomposition rather than a full Gram one. A
+    nearly rank-deficient r x r Gram refits x by the truncated SVD. Inside
+    the loop the sparse part is only the flat indices and values of its
+    entries; the dense one is built at the end.
 
     The residual norm is monotone non-increasing. The previous low-rank
     part has row space span(v), so it is no closer to x than the
@@ -242,7 +231,11 @@ def godec(
         if factors is None:
             factors = start or truncated_svd(x, rank)
         else:
-            factors = _warm_svd(x, factors.v) or truncated_svd(x, rank)
+            q = factors.v
+            for _ in range(_POWER_STEPS):
+                q = np.linalg.qr(x.T @ (x @ q))[0]
+            u, s, w, failed = _gram_fit(x @ q, rank)
+            factors = truncated_svd(x, rank) if failed else LowRankFactors(u=u, s=s, v=q @ w)
         low_rank = factors.matrix()
         residual = mat - low_rank
         keep = _largest_index(residual, sparse_count)

@@ -253,6 +253,8 @@ _LIST_BOUNDS = [
     ("sweep rank", "--grid", "2,0", "0 is below the minimum 1"),
     ("sweep impulse", "--sigma0-grid", "0.05,-1", "-1.0 is below the minimum 0.0"),
     ("sweep impulse", "--ratio-grid", "0,1.5", "1.5 is outside [0, 1]"),
+    ("simulate", "--dims", "2,2,99999999999999999999999",
+     f"99999999999999999999999 is above the maximum {2**64 - 1}"),
 ]
 
 

@@ -42,6 +42,19 @@ class TestHsiCube:
         arr[0, 0, 0] = 99.0
         assert cube.data[0, 0, 0] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_no_copy_still_widens(self, dtype):
+        # numpy 2 refuses copy=False for a cast; the cube copies only then.
+        arr = np.arange(8, dtype=dtype).reshape(2, 2, 2)
+        cube = HsiCube(arr, copy=False)
+        assert cube.data.dtype == np.float64
+        np.testing.assert_array_equal(cube.data, arr)
+
+    def test_no_copy_shares_a_float64_array(self):
+        arr = np.ones((2, 2, 2))
+        cube = HsiCube(arr, copy=False)
+        assert np.shares_memory(cube.data, arr)
+
     def test_zeros_and_axis_properties(self):
         cube = HsiCube.zeros((3, 4, 5))
         assert (cube.rows, cube.cols, cube.bands) == (3, 4, 5)

@@ -130,6 +130,19 @@ def counting_svd(monkeypatch) -> list:
     return calls
 
 
+def spying_gram_fit(monkeypatch) -> list:
+    """Route lowrank._gram_fit through a wrapper; returns its input shapes."""
+    calls = []
+    real = lowrank._gram_fit
+
+    def gram_fit(a, rank):
+        calls.append(a.shape)
+        return real(a, rank)
+
+    monkeypatch.setattr(lowrank, "_gram_fit", gram_fit)
+    return calls
+
+
 class TestTruncatedSvdBatch:
     @staticmethod
     def check_against_svd_oracle(stack, rank):
@@ -172,6 +185,26 @@ class TestTruncatedSvdBatch:
         assert s[1, 2] < 1e-12 and not s[3].any()
         svd_calls.clear()
         self.check_against_svd_oracle(stack, 4)
+
+    def test_one_kernel_call_per_stack(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        calls = spying_gram_fit(monkeypatch)
+        truncated_svd_batch(rng.standard_normal((12, 40, 9)), 4)
+        truncated_svd(rng.standard_normal((6, 15)), 3)
+        assert calls == [(12, 40, 9), (1, 6, 15)]
+
+    @pytest.mark.parametrize("shape, rank", [((40, 9), 4), ((6, 15), 3), ((12, 3), 3)],
+                             ids=["tall", "wide", "rank-deficient"])
+    def test_kernel_on_one_matrix_equals_a_stack_of_one(self, shape, rank):
+        # godec's warm step runs the kernel on a 2-D matrix; the SVD oracle
+        # above pins it on stacks.
+        mat = np.random.default_rng(35).standard_normal(shape)
+        if shape == (12, 3):
+            mat[:, 2] = mat[:, 0] + mat[:, 1]
+        *one, failed = lowrank._gram_fit(mat, rank)
+        assert failed == (shape == (12, 3))
+        for got, stacked in zip(one, truncated_svd_batch(mat[None], rank)):
+            np.testing.assert_array_equal(got, stacked[0])
 
     def test_stack_of_one_is_truncated_svd(self):
         rng = np.random.default_rng(33)
@@ -368,6 +401,16 @@ class TestGodec:
         np.testing.assert_allclose(f.u.T @ f.u, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(f.v.T @ f.v, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(res.low_rank, a, atol=1e-12)
+
+    def test_every_warm_step_runs_the_kernel_on_x_q(self, monkeypatch):
+        # A scene-shaped window at rank 7 with a 5% budget: the first fit is
+        # the truncated SVD of a stack of one, each later one the Rayleigh-Ritz
+        # fit of the 400 x 7 matrix x q.
+        a = scene_windows(64, 1)[0]
+        calls = spying_gram_fit(monkeypatch)
+        res = godec(a, 7, sparse_count=round(0.05 * a.size))
+        assert res.iterations > 3
+        assert calls == [(1, 400, 64)] + [(400, 7)] * (res.iterations - 1)
 
     def test_warm_fit_anchors_signs_like_truncated_svd(self):
         rng = np.random.default_rng(27)
