@@ -86,10 +86,10 @@ def _list_of(kind: type, minimum: float, maximum: float | None = None):
 
 
 def _dims(text: str) -> tuple[int, int, int]:
-    dims = _list_of(int, 1)(text)
-    if len(dims) != 3:
+    parts = text.split(",")
+    if len(parts) != 3 or "" in parts:
         raise argparse.ArgumentTypeError(f"expected M,N,P, got {text!r}")
-    return tuple(dims)
+    return tuple(_list_of(int, 1)(text))
 
 
 def _resolve_threads(value: int | None) -> int:

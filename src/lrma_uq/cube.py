@@ -44,7 +44,7 @@ class HsiCube:
     __slots__ = ("data",)
 
     def __init__(self, data: np.ndarray, copy: bool = True) -> None:
-        arr = np.array(data, dtype=np.float64, copy=copy or None)
+        arr = np.array(data, dtype=np.float64) if copy else np.asarray(data, dtype=np.float64)
         if arr.ndim != 3:
             raise ValueError(f"cube data must be 3-D (rows, cols, bands), got ndim={arr.ndim}")
         if min(arr.shape) < 1:

@@ -47,9 +47,10 @@ class GodecResult:
     residual_history: list[float] = field(default_factory=list)
 
 
-# A matrix whose r-th Gram eigenvalue falls below this fraction of the first
-# (sigma_r / sigma_1 < 1e-4) is refit with a full SVD: squaring the
-# condition number leaves too few accurate digits in the weak directions.
+# A matrix whose r-th Gram eigenvalue is not above this fraction of the
+# first (sigma_r / sigma_1 <= 1e-4, a zero Gram included) is refit with a
+# full SVD: squaring the condition number leaves too few accurate digits in
+# the weak directions.
 _GRAM_FLOOR = 1e-8
 
 
@@ -61,18 +62,21 @@ def _gram_fit(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     the other side is A v / s, and signs follow `truncated_svd`. A matrix
     whose Gram is zero or nearly rank-deficient (see _GRAM_FLOOR) is refit
     by the full SVD, one at a time, and flagged in the returned (...) mask.
+    `godec` discards such a refit of its K x r matrix and refits the whole
+    iterate instead; that path is rare (no scene window's warm step took it).
     """
     wide = a.shape[-2] < a.shape[-1]
-    t = np.swapaxes(a, -1, -2) if wide else a
-    lam, vec = np.linalg.eigh(np.swapaxes(t, -1, -2) @ t)
+    t = a.swapaxes(-1, -2) if wide else a
+    lam, vec = np.linalg.eigh(t.swapaxes(-1, -2) @ t)
     lam = lam[..., ::-1][..., :rank]
     near = vec[..., ::-1][..., :rank]
-    failed = ~(lam[..., 0] > 0) | (lam[..., -1] < _GRAM_FLOOR * lam[..., 0])
-    s = np.sqrt(np.where(failed[..., None], 1.0, lam))
+    failed = ~(lam[..., -1] > _GRAM_FLOOR * lam[..., 0])
+    lam[failed] = 1.0
+    s = np.sqrt(lam)
     far = t @ near
     far /= s[..., None, :]
     u, v = (near, far) if wide else (far, near)
-    if failed.any():  # skips np.argwhere, 5% of a warm GoDec step on a 0-d mask
+    if np.count_nonzero(failed):  # cheaper than any() or argwhere() on one matrix's 0-d mask
         for i in map(tuple, np.argwhere(failed)):
             ui, si, vti = np.linalg.svd(a[i], full_matrices=False)
             u[i], s[i], v[i] = ui[:, :rank], si[:rank], vti[:rank].T
@@ -104,8 +108,7 @@ def _anchor_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Flip singular pairs so the largest-magnitude entry of each left
     singular vector is positive; u is (..., K, r) and v is (..., L, r)."""
     anchor = np.argmax(np.abs(u), axis=-2)[..., None, :]
-    signs = np.sign(np.take_along_axis(u, anchor, axis=-2))
-    signs[signs == 0] = 1.0
+    signs = np.copysign(1.0, np.take_along_axis(u, anchor, axis=-2))
     return u * signs, v * signs
 
 

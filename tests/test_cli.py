@@ -194,8 +194,9 @@ class TestUsageErrors:
         assert code == 2 and "outside" in err
 
     def test_bad_dims_string(self, capsys):
-        code, err = run(capsys, "simulate", "--dims", "10,10", "--out", "x")
-        assert code == 2 and "M,N,P" in err
+        for dims in ("10,10", "4,,4,4", "4,4,4,", "4,,4"):
+            code, err = run(capsys, "simulate", "--dims", dims, "--out", "x")
+            assert code == 2 and "M,N,P" in err, dims
 
 
 # A command line each subcommand accepts; a case appends one flag to it.
