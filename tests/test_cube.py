@@ -43,8 +43,17 @@ class TestHsiCube:
         assert cube.data[0, 0, 0] == 1.0
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float32])
-    def test_no_copy_still_widens(self, dtype):
-        # numpy 2 refuses copy=False for a cast; the cube copies only then.
+    def test_no_copy_still_widens(self, dtype, monkeypatch):
+        # numpy 2 refuses copy=False for a cast and numpy 1.x refuses
+        # copy=None, as the wrapper below does; the cube copies only then.
+        real = np.array
+
+        def numpy1_array(obj, *args, copy=True, **kwargs):
+            if copy is None:
+                raise ValueError("NoneType copy mode not allowed")
+            return real(obj, *args, copy=copy, **kwargs)
+
+        monkeypatch.setattr(np, "array", numpy1_array)
         arr = np.arange(8, dtype=dtype).reshape(2, 2, 2)
         cube = HsiCube(arr, copy=False)
         assert cube.data.dtype == np.float64
