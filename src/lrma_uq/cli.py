@@ -70,16 +70,16 @@ def _number(kind: type, minimum: float, maximum: float | None = None):
 
 def _list_of(kind: type, minimum: float, maximum: float | None = None):
     """Parser of a non-empty comma-separated list of `kind` values, each
-    range-checked as `_number` checks one."""
+    range-checked as `_number` checks one; an empty item is refused."""
     noun = "integers" if kind is int else "numbers"
 
     def parse(text: str) -> list:
+        if not text.strip(","):
+            raise argparse.ArgumentTypeError("list must not be empty")
         try:
-            values = [kind(t) for t in text.split(",") if t != ""]
+            values = [kind(t) for t in text.split(",")]
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}") from None
-        if not values:
-            raise argparse.ArgumentTypeError("list must not be empty")
         return [_in_range(value, minimum, maximum) for value in values]
 
     return parse

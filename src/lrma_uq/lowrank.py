@@ -219,26 +219,10 @@ def godec(
 
     floor = _TOL * max(np.linalg.norm(mat), 1.0)
     noise = _NOISE_STEPS * np.sqrt(2.0 * mat.size)
-    keep = np.empty(0, dtype=np.intp)
-    values = np.empty(0)
+    factors = truncated_svd(mat, rank) if start is None else start
     history: list[float] = []
-    factors = None
-    converged = False
     prev = np.inf
-    it = 0
     for it in range(1, max_iter + 1):
-        x = mat
-        if keep.size:
-            x = mat.copy()
-            x.ravel()[keep] -= values
-        if factors is None:
-            factors = start or truncated_svd(x, rank)
-        else:
-            q = factors.v
-            for _ in range(_POWER_STEPS):
-                q = np.linalg.qr(x.T @ (x @ q))[0]
-            u, s, w, failed = _gram_fit(x @ q, rank)
-            factors = truncated_svd(x, rank) if failed else LowRankFactors(u=u, s=s, v=q @ w)
         low_rank = factors.matrix()
         residual = mat - low_rank
         keep = _largest_index(residual, sparse_count)
@@ -247,12 +231,18 @@ def godec(
         flat[keep] = 0.0
         res = float(np.linalg.norm(residual))
         history.append(res)
-        if sparse_count == 0 or prev - res <= max(res / noise, floor):
-            converged = True
+        converged = bool(sparse_count == 0 or prev - res <= max(res / noise, floor))
+        if converged or it == max_iter:
             break
         prev = res
+        x = mat.copy()
+        x.ravel()[keep] -= values
+        q = factors.v
+        for _ in range(_POWER_STEPS):
+            q = np.linalg.qr(x.T @ (x @ q))[0]
+        u, s, w, failed = _gram_fit(x @ q, rank)
+        factors = truncated_svd(x, rank) if failed else LowRankFactors(u=u, s=s, v=q @ w)
 
-    assert factors is not None
     sparse = np.zeros(mat.shape)
     sparse.ravel()[keep] = values
     return GodecResult(

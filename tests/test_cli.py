@@ -258,6 +258,14 @@ _LIST_BOUNDS = [
      f"99999999999999999999999 is above the maximum {2**64 - 1}"),
 ]
 
+# (command, list flag, the noun its parse error names): an empty value is
+# an empty list, and an empty item anywhere in a list is refused.
+_LISTS = [
+    ("sweep rank", "--grid", "integers"),
+    ("sweep impulse", "--sigma0-grid", "numbers"),
+    ("sweep impulse", "--ratio-grid", "numbers"),
+]
+
 
 @pytest.mark.parametrize("command, flag, value, message", [
     pytest.param(command, flag, value, message, id=f"{command} {flag}={value}")
@@ -270,6 +278,12 @@ _LIST_BOUNDS = [
 ] + [
     pytest.param(command, flag, value, message, id=f"{command} {flag}={value}")
     for command, flag, value, message in _LIST_BOUNDS
+] + [
+    pytest.param(command, flag, value, message, id=f"{command} {flag}={value}")
+    for command, flag, noun in _LISTS
+    for value, message in [("", "list must not be empty")] + [
+        (items, f"expected comma-separated {noun}, got {items!r}")
+        for items in ("1,,1", "1,", ",0")]
 ])
 def test_range_checked_value_is_one_usage_error_line(capsys, command, flag, value, message):
     code, out, err = main([*_VALID[command], f"{flag}={value}"]), *capsys.readouterr()
@@ -449,6 +463,22 @@ class TestRuntimeErrors:
                         "--report", str(report))
         assert code == 1
         assert err == "error: sample has non-finite values (1 of 101)\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("check", ["qq", "sw"])
+    @pytest.mark.parametrize("text, line", [
+        ("residual\n0.5\nfoo\n", "error: non-numeric sample at line 3: 'foo'\n"),
+        ("", "error: no samples found in {}\n"),
+        ("residual\n", "error: no samples found in {}\n"),
+    ], ids=["non-numeric", "empty", "header-only"])
+    def test_unreadable_samples_are_one_error_line(self, capsys, tmp_path, check, text, line):
+        samples = tmp_path / "samples.csv"
+        samples.write_text(text)
+        report = tmp_path / "report.csv"
+        code, out, err = main(["validate", check, "--samples", str(samples),
+                               "--report", str(report)]), *capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == line.format(samples)
         assert not report.exists()
 
     def test_window_larger_than_cube(self, capsys, tmp_path):

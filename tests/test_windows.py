@@ -253,5 +253,12 @@ class TestAggregateMean:
         grid = enumerate_patches((4, 4, 1), WindowConfig(patch_side=2, step=2, rank=1))
         patches = [(o, np.ones((2, 2, 1))) for o in grid.origins]
         patches[0] = ((1, 1), patches[0][1])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="missing"):
+            aggregate_mean(patches, grid)
+
+    def test_extra_patch_origin_rejected(self):
+        # Every grid origin is present, so only the extra one is at fault.
+        grid = enumerate_patches((4, 4, 1), WindowConfig(patch_side=2, step=2, rank=1))
+        patches = [(o, np.ones((2, 2, 1))) for o in grid.origins] + [((1, 1), np.ones((2, 2, 1)))]
+        with pytest.raises(ValueError, match="not in grid"):
             aggregate_mean(patches, grid)
