@@ -36,9 +36,10 @@ class HsiCube:
     The wrapped array is stored with shape (M, N, P). Inputs of any real
     dtype are widened to float64 on ingest, and copy=False wraps a float64
     array without copying it; non-finite values are rejected.
-    Treat a cube as immutable once shared: only `scatter_add_patch` mutates,
-    and only accumulators that the caller owns exclusively. An accumulator
-    may wrap an array of any memory layout (C, Fortran or strided).
+    Treat a cube as immutable once shared: only `scatter_add_patch` and
+    `hadamard_divide(..., out=)` mutate, and only cubes that the caller owns
+    exclusively. An accumulator may wrap an array of any memory layout (C,
+    Fortran or strided).
     """
 
     __slots__ = ("data",)
@@ -86,21 +87,28 @@ class HsiCube:
         return f"HsiCube({m}x{n}x{p})"
 
 
-def hadamard_divide(num: HsiCube, den: HsiCube) -> HsiCube:
+def hadamard_divide(num: HsiCube, den: HsiCube, *, out: HsiCube | None = None) -> HsiCube:
     """Element-wise quotient of two cubes of identical dims.
 
     The denominator must be strictly positive everywhere; a zero or negative
     entry means some voxel was covered by no patch, which is a window-geometry
-    bug upstream and is reported as such.
+    bug upstream and is reported as such, before anything is written. The
+    quotient goes to a new cube, or into `out` (which may be `num`) and
+    `out` is returned; either way its bytes are the same.
     """
     if num.dims != den.dims:
         raise ValueError(f"dimension mismatch: {num.dims} vs {den.dims}")
+    if out is not None and out.dims != num.dims:
+        raise ValueError(f"out dimension mismatch: {out.dims} vs {num.dims}")
     if den.data.min() <= 0.0:
         bad = int(np.count_nonzero(den.data <= 0.0))
         raise ValueError(
             f"denominator has {bad} non-positive entries (voxels covered by no patch)"
         )
-    return HsiCube(num.data / den.data, copy=False)
+    if out is None:
+        return HsiCube(num.data / den.data, copy=False)
+    np.divide(num.data, den.data, out=out.data)
+    return out
 
 
 def _check_patch_bounds(dims: tuple[int, int, int], origin: VoxelIndex,

@@ -20,7 +20,9 @@ from .cube import HsiCube
 
 _MAGIC = "HSIC1"
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-# Largest read from a non-regular input, whose size is not known up front.
+# Largest read from a non-regular input, whose size is not known up front,
+# and largest slab of whole bands a write converts at a time (one band at
+# least).
 _CHUNK = 1 << 20
 
 
@@ -41,18 +43,31 @@ class TruncatedPayloadError(ContainerError):
 
 
 def write_cube(cube: HsiCube, path: str, dtype: str = "f64") -> None:
-    """Serialize a cube; "f64" is exact, "f32" narrows lossily and refuses overflow."""
+    """Serialize a cube; "f64" is exact, "f32" narrows lossily and refuses overflow.
+
+    The band-sequential payload is converted and written in slabs of whole
+    bands of at most `_CHUNK` bytes each (one band at least), so no copy of
+    the whole cube is made. An f32 overflow is refused before the file is
+    opened.
+    """
     if dtype not in _DTYPES:
         raise UnknownDtypeError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+    dt = _DTYPES[dtype]
     m, n, p = cube.dims
     header = f"{_MAGIC} {m} {n} {p} {dtype} BSQ LE\n"
-    with np.errstate(over="ignore"):  # the cube is finite: only narrowing makes an inf
-        payload = np.ascontiguousarray(np.moveaxis(cube.data, 2, 0), dtype=_DTYPES[dtype])
-    if dtype == "f32" and np.isinf([payload.min(), payload.max()]).any():
-        raise ValueError("cube holds values beyond the float32 range; write it as f64")
+    if dtype == "f32":
+        # Narrowing is monotone, so the cube overflows iff one of its extremes does.
+        with np.errstate(over="ignore"):  # the cube is finite: only narrowing makes an inf
+            ends = np.array([cube.data.min(), cube.data.max()]).astype(dt)
+        if np.isinf(ends).any():
+            raise ValueError("cube holds values beyond the float32 range; write it as f64")
+    step = max(1, _CHUNK // (m * n * dt.itemsize))
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(memoryview(payload).cast("B"))
+        for b in range(0, p, step):
+            slab = np.ascontiguousarray(np.moveaxis(cube.data[:, :, b:b + step], 2, 0), dtype=dt)
+            fh.write(memoryview(slab).cast("B"))
+            del slab  # so the next slab is not made while this one is alive
 
 
 def read_cube(path: str) -> HsiCube:

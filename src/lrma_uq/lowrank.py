@@ -64,10 +64,25 @@ def _gram_fit(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     by the full SVD, one at a time, and flagged in the returned (...) mask.
     `godec` discards such a refit of its K x r matrix and refits the whole
     iterate instead; that path is rare (no scene window's warm step took it).
+    A matrix whose Gram has no finite trace (entries above about 1e154) is
+    fitted scaled by the power of two that brings its largest |entry| into
+    [0.5, 1), which is exact, and its s is scaled back; every other matrix
+    takes the unscaled path.
     """
     wide = a.shape[-2] < a.shape[-1]
     t = a.swapaxes(-1, -2) if wide else a
-    lam, vec = np.linalg.eigh(t.swapaxes(-1, -2) @ t)
+    exp = None
+    with np.errstate(over="ignore"):  # only a matrix flagged in `huge` overflows
+        gram = t.swapaxes(-1, -2) @ t
+        huge = ~np.isfinite(gram.trace(0, -2, -1))
+    if np.count_nonzero(huge):
+        exp = np.frexp(np.abs(a[huge]).max(axis=(-2, -1)))[1][:, None]
+        a = a.copy()
+        a[huge] = np.ldexp(a[huge], -exp[..., None])
+        t = a.swapaxes(-1, -2) if wide else a
+        gram[huge] = t[huge].swapaxes(-1, -2) @ t[huge]
+    lam, vec = np.linalg.eigh(gram)
+    del gram
     lam = lam[..., ::-1][..., :rank]
     near = vec[..., ::-1][..., :rank]
     failed = ~(lam[..., -1] > _GRAM_FLOOR * lam[..., 0])
@@ -80,6 +95,8 @@ def _gram_fit(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndar
         for i in map(tuple, np.argwhere(failed)):
             ui, si, vti = np.linalg.svd(a[i], full_matrices=False)
             u[i], s[i], v[i] = ui[:, :rank], si[:rank], vti[:rank].T
+    if exp is not None:
+        s[huge] = np.ldexp(s[huge], exp)
     u, v = _anchor_signs(u, v)
     return u, s, v, failed
 
@@ -107,7 +124,9 @@ def truncated_svd_batch(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.nda
 def _anchor_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip singular pairs so the largest-magnitude entry of each left
     singular vector is positive; u is (..., K, r) and v is (..., L, r)."""
-    anchor = np.argmax(np.abs(u), axis=-2)[..., None, :]
+    # |u| is made C-ordered as (..., r, K), so argmax scans it without a
+    # transposed copy.
+    anchor = np.argmax(np.abs(u.swapaxes(-1, -2), order="C"), axis=-1)[..., None, :]
     signs = np.copysign(1.0, np.take_along_axis(u, anchor, axis=-2))
     return u * signs, v * signs
 
@@ -143,6 +162,8 @@ _POWER_STEPS = 2
 # stops an exact low-rank input, whose residual is zero.
 _NOISE_STEPS = 50
 _TOL = 1e-7
+# Largest Frobenius norm whose square float64 holds.
+_NORM_BOUND = float(np.sqrt(np.finfo(np.float64).max))
 
 
 def _largest_index(mat: np.ndarray, count: int) -> np.ndarray:
@@ -217,7 +238,12 @@ def godec(
             raise ValueError(f"start must hold rank-{rank} factors of a {k}x{l} matrix, "
                              f"got u, s, v of shapes {shapes}")
 
-    floor = _TOL * max(np.linalg.norm(mat), 1.0)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(mat)
+    if not np.isfinite(norm):
+        raise ValueError("godec squares its input: its Frobenius norm must be below "
+                         f"{_NORM_BOUND:.4g}, the square root of the largest float64")
+    floor = _TOL * max(norm, 1.0)
     noise = _NOISE_STEPS * np.sqrt(2.0 * mat.size)
     factors = truncated_svd(mat, rank) if start is None else start
     history: list[float] = []

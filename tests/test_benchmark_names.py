@@ -128,19 +128,25 @@ def test_pipeline_windows_go_through_pinned_scatter(monkeypatch, threads):
 
 def test_pipeline_windows_go_through_pinned_reshape(monkeypatch):
     # `windows.patch_to_matrix` is pinned by call count: the pipeline shapes
-    # each origin row of windows into matrices with it, once per row.
+    # each chunk of windows into matrices with it, once per chunk. The 4
+    # origin rows of 3 windows are one chunk under the 1 MiB budget, and
+    # chunks of 2 windows under a 2-window budget.
     calls = []
     real = pipeline.patch_to_matrix
 
-    def spy(row):
-        calls.append(row.shape)
-        return real(row)
+    def spy(chunk):
+        calls.append(chunk.shape)
+        return real(chunk)
 
     monkeypatch.setattr(pipeline, "patch_to_matrix", spy)
     cube = HsiCube(np.random.default_rng(0).uniform(size=(10, 8, 3)))
     cfg = PipelineConfig(WindowConfig(patch_side=4, step=2, rank=1))
     denoise(cube, cfg)
-    assert calls == [(3, 4, 4, 3)] * 4
+    assert calls == [(12, 4, 4, 3)]
+    calls.clear()
+    monkeypatch.setattr(pipeline, "_GROUP_BYTES", 2 * 4 * 4 * 3 * 8)
+    denoise(cube, cfg)
+    assert calls == [(2, 4, 4, 3)] * 6
 
 
 @pytest.mark.parametrize("threads", [1, 2])

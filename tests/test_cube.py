@@ -107,6 +107,31 @@ class TestHadamardDivide:
         with pytest.raises(ValueError, match="non-positive"):
             hadamard_divide(HsiCube(np.ones((2, 2, 2))), HsiCube(den))
 
+    def test_in_place_quotient_is_bit_equal_to_the_fresh_one(self):
+        rng = np.random.default_rng(1)
+        num = HsiCube(rng.uniform(-3.0, 3.0, (5, 4, 3)))
+        # A broadcast plane, as the pipeline's coverage counts are.
+        plane = rng.integers(1, 10, (5, 4)).astype(np.float64)
+        den = HsiCube(np.broadcast_to(plane[:, :, None], (5, 4, 3)), copy=False)
+        fresh = hadamard_divide(num, den)
+        out = hadamard_divide(num, den, out=num)
+        assert out is num
+        assert num.data.tobytes() == fresh.data.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_non_positive_denominator_raises_before_out_is_written(self, bad):
+        num = HsiCube(np.full((2, 2, 2), 6.0))
+        den = np.full((2, 2, 2), 2.0)
+        den[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-positive"):
+            hadamard_divide(num, HsiCube(den), out=num)
+        np.testing.assert_array_equal(num.data, 6.0)
+
+    def test_out_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="out dimension mismatch"):
+            hadamard_divide(HsiCube(np.ones((2, 2, 2))), HsiCube(np.ones((2, 2, 2))),
+                            out=HsiCube.zeros((2, 2, 3)))
+
 
 class TestExtractPatch:
     def test_full_extent_returns_whole_cube(self):

@@ -24,6 +24,7 @@ from lrma_uq import (
     TruncatedPayloadError,
     UnknownDtypeError,
     cli,
+    io,
     read_cube,
     write_cube,
     write_qq_csv,
@@ -91,12 +92,50 @@ class TestCubeContainer:
         write_cube(HsiCube(data), str(path))  # f64 holds it exactly
         assert read_cube(str(path)).data[1, 0, 1] == -1e39
 
+    def test_f32_overflow_leaves_an_existing_file_untouched(self, tmp_path):
+        # The overflow is refused before the target is opened, so a file
+        # already there keeps its bytes.
+        path = tmp_path / "kept.hsic"
+        write_cube(random_cube(seed=4), str(path))
+        before = path.read_bytes()
+        data = np.zeros((40, 30, 7))
+        data[39, 29, 6] = 1e39  # in the last slab of a several-slab write
+        with pytest.raises(ValueError, match="float32 range"):
+            write_cube(HsiCube(data), str(path), dtype="f32")
+        assert path.read_bytes() == before
+
     def test_write_is_byte_deterministic(self, tmp_path):
         cube = random_cube(seed=9)
         a, b = tmp_path / "a.hsic", tmp_path / "b.hsic"
         write_cube(cube, str(a))
         write_cube(cube, str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+def one_copy_bytes(cube: HsiCube, dtype: str) -> bytes:
+    """The container as one transposed copy of the whole cube writes it."""
+    m, n, p = cube.dims
+    dt = {"f32": "<f4", "f64": "<f8"}[dtype]
+    payload = np.ascontiguousarray(np.moveaxis(cube.data, 2, 0), dtype=dt)
+    return f"HSIC1 {m} {n} {p} {dtype} BSQ LE\n".encode("ascii") + payload.tobytes()
+
+
+class TestBandSlabs:
+    # write_cube converts whole bands in slabs of at most io._CHUNK bytes,
+    # one band at least. Each case spans several slabs or cuts a band.
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("dims, chunk", [
+        ((128, 128, 20), None),  # 1 MiB: f64 slabs of 8, 8, 4 bands; f32 16, 4
+        ((40, 30, 7), 3 * 40 * 30 * 8),  # f64 slabs of 3, 3, 1 bands; f32 6, 1
+        ((40, 30, 1), 1000),  # P = 1: one band over the slab size
+    ], ids=["1MiB-partial-last", "small-slabs", "one-band"])
+    def test_slabs_write_the_bytes_of_one_copy(self, tmp_path, monkeypatch, dtype, dims, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(io, "_CHUNK", chunk)
+        cube = random_cube(dims, seed=11)
+        path = tmp_path / "slabs.hsic"
+        write_cube(cube, str(path), dtype=dtype)
+        assert path.read_bytes() == one_copy_bytes(cube, dtype)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hsic"
@@ -181,16 +220,23 @@ def traced_peak(fn) -> int:
 
 
 class TestContainerMemory:
-    # The band-sequential payload is one cube. Writing makes that one
-    # transposed copy, and reading fills the returned cube straight from the
-    # file, plus the cube's one-byte-per-entry finiteness mask (1/8 cube).
-    # Neither holds the payload twice: both peaked at about 2 cubes when it
-    # also went through a bytes object.
+    # The band-sequential payload is one cube. Writing converts it in slabs
+    # of whole bands of at most 1 MiB, and reading fills the returned cube
+    # straight from the file, plus the cube's one-byte-per-entry finiteness
+    # mask (1/8 cube). Neither holds the payload twice: both peaked at about
+    # 2 cubes when it also went through a bytes object.
     def test_write_and_read_hold_one_cube(self, tmp_path):
         cube = random_cube((48, 40, 24), seed=3)
         path = str(tmp_path / "big.hsic")
         assert traced_peak(lambda: write_cube(cube, path)) <= 1.1 * cube.data.nbytes
         assert traced_peak(lambda: read_cube(path)) <= 1.15 * cube.data.nbytes
+        assert read_cube(path).data.tobytes() == cube.data.tobytes()
+
+    def test_write_holds_one_slab(self, tmp_path):
+        # 128x128x64 f64 is 8 MiB: slabs of 8 bands, 1 MiB each.
+        cube = random_cube((128, 128, 64), seed=5)
+        path = str(tmp_path / "slabs.hsic")
+        assert traced_peak(lambda: write_cube(cube, path)) <= 1.1 * (1 << 20)
         assert read_cube(path).data.tobytes() == cube.data.tobytes()
 
 

@@ -2,6 +2,7 @@
 orthogonal factor alignment, and factor-error covariance sampling."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,31 @@ class TestTruncatedSvd:
         a[2, 2] = np.nan
         with pytest.raises(ValueError, match="finite"):
             truncated_svd(a, 2)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6)], ids=["tall", "wide"])
+    def test_huge_finite_input_is_fitted(self, shape):
+        # The Gram of a 1e200-scaled matrix overflows; the matrix is fitted
+        # scaled by a power of two, so its u and v are the unscaled ones to
+        # rounding and its s carries the factor, with no overflow warning.
+        a = np.random.default_rng(26).standard_normal(shape)
+        small = truncated_svd(a, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = truncated_svd(a * 1e200, 2)
+        np.testing.assert_allclose(big.u, small.u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(big.v, small.v, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(big.s / 1e200, small.s, rtol=1e-13)
+
+    def test_huge_matrix_in_a_stack_leaves_the_others_unscaled(self):
+        # Only the overflowing matrix is scaled; by a power of two it is
+        # exact, and its neighbours keep their bytes.
+        mats = np.random.default_rng(27).standard_normal((3, 6, 4))
+        u0, s0, v0 = truncated_svd_batch(mats, 2)
+        mats[1] *= 2.0 ** 600
+        u, s, v = truncated_svd_batch(mats, 2)
+        np.testing.assert_array_equal(u, u0)
+        np.testing.assert_array_equal(v, v0)
+        np.testing.assert_array_equal(s, s0 * [[1.0], [2.0 ** 600], [1.0]])
 
 
 @pytest.mark.parametrize("call, name", [
@@ -432,6 +458,13 @@ class TestGodec:
         res = godec(a, 2, sparse_count=20, max_iter=2)
         assert res.converged in (True, False)
         assert res.iterations <= 2
+
+    def test_input_whose_norm_cannot_be_squared_is_a_clear_error(self):
+        a = np.random.default_rng(28).standard_normal((6, 4)) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"Frobenius norm must be below 1\.341e\+154"):
+                godec(a, 2, sparse_count=2)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="sparse_count"):

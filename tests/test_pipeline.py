@@ -9,9 +9,11 @@ implementation that shares no code with it.
 
 import dataclasses
 import logging
+import sys
 import threading
 import time
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -160,6 +162,40 @@ class TestDenoise:
         expected = aggregate_mean(patches, grid)
         np.testing.assert_allclose(denoise(noisy, cfg).data, expected.data, rtol=0, atol=1e-12)
 
+    def test_huge_finite_cube_is_fitted_as_if_unscaled(self, monkeypatch):
+        # Entries above about 1e154 overflow a window's Gram matrix. Such a
+        # window is fitted scaled by a power of two: u and v are those of
+        # the unscaled cube and s is scaled by the cube's factor, exactly
+        # for a power of two and to rounding for 1e160.
+        clean = synth_lowrank_cube((12, 12, 6), true_rank=2, seed=45)
+        cfg = small_config(window=WindowConfig(patch_side=8, step=4, rank=2))
+        fits = []
+        real = pipeline.truncated_svd_batch
+
+        def spy(mats, rank):
+            fits.append(real(mats, rank))
+            return fits[-1]
+
+        monkeypatch.setattr(pipeline, "truncated_svd_batch", spy)
+        base = denoise(clean, cfg)
+        (u0, s0, v0), = fits
+        for factor, exact in ((2.0 ** 530, True), (1e160, False)):
+            fits.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow warning either
+                out = denoise(HsiCube(clean.data * factor), cfg)
+            (u, s, v), = fits
+            if exact:
+                np.testing.assert_array_equal(u, u0)
+                np.testing.assert_array_equal(v, v0)
+                np.testing.assert_array_equal(s, s0 * factor)
+                np.testing.assert_array_equal(out.data, base.data * factor)
+            else:
+                np.testing.assert_allclose(u, u0, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(v, v0, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(s / factor, s0, rtol=1e-12)
+                np.testing.assert_allclose(out.data / factor, base.data, rtol=0, atol=1e-12)
+
     def test_tsvd_fit_makes_no_per_window_svd_call(self, monkeypatch):
         noisy = add_gaussian(synth_lowrank_cube((12, 12, 6), true_rank=2, seed=43), 0.05, seed=43)
         calls = []
@@ -289,15 +325,20 @@ class TestThreadDeterminism:
 
 
 class TestRowGroups:
-    """Origin rows are fitted in groups of up to `_GROUP_BYTES` once
-    gathered, at least one row each. On a 23x14x5 image with window 5/3,
-    7 row origins of 4 windows make 4,000-byte rows: a 1 MiB budget holds
-    all 7 in one group, 12,000 bytes splits them 3/3/1, and 3,999 bytes
-    leaves one row per group."""
+    """Windows are fitted in chunks of up to `_GROUP_BYTES` once gathered:
+    whole origin rows while one row fits, else runs of consecutive windows,
+    and at least one window each. On a 23x14x5 image with window 5/3, 7 row
+    origins of 4 windows make 1,000-byte windows and 4,000-byte rows: a
+    1 MiB budget holds all 28 windows in one chunk, 12,000 bytes packs
+    whole rows 3/3/1, 3,999 bytes cuts runs of 3 windows, 2,000 bytes runs
+    of 2, and 999 bytes leaves one window per chunk."""
 
     DIMS = (23, 14, 5)
-    ROW_BYTES = 4 * 5 * 5 * 5 * 8
-    BUDGETS = [1 << 20, 3 * ROW_BYTES, ROW_BYTES - 1]
+    WINDOW_BYTES = 5 * 5 * 5 * 8
+    ROW_BYTES = 4 * WINDOW_BYTES
+    BUDGETS = [1 << 20, 3 * ROW_BYTES, ROW_BYTES - 1, 2 * WINDOW_BYTES, WINDOW_BYTES - 1]
+    IDS = ["all-rows", "3-3-1", "below-a-row", "two-windows", "below-a-window"]
+    CHUNKS = [[28], [12, 12, 4], [3] * 9 + [1], [2] * 14, [1] * 28]
 
     @pytest.fixture(scope="class", params=[0, 0.05], ids=["tsvd", "godec"])
     def case(self, request):
@@ -307,11 +348,11 @@ class TestRowGroups:
         grid = enumerate_patches(noisy.dims, window)
         assert grid.row_origins.size == 7 and grid.col_origins.size == 4
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "_GROUP_BYTES", 0)  # one row per group
+            patch.setattr(pipeline, "_GROUP_BYTES", 0)  # one window per chunk
             den, var = denoise_with_uq(noisy, small_config(window=window, sigma0=0.05))
         return noisy, window, den.data, var.data
 
-    @pytest.mark.parametrize("budget", BUDGETS, ids=["all-rows", "3-3-1", "below-a-row"])
+    @pytest.mark.parametrize("budget", BUDGETS, ids=IDS)
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_group_size_never_changes_output(self, monkeypatch, case, budget, threads):
         noisy, window, den_rows, var_rows = case
@@ -321,9 +362,8 @@ class TestRowGroups:
         np.testing.assert_array_equal(den.data, den_rows)
         np.testing.assert_array_equal(var.data, var_rows)
 
-    @pytest.mark.parametrize("budget, groups", zip(BUDGETS, [[7], [3, 3, 1], [1] * 7]),
-                             ids=["all-rows", "3-3-1", "below-a-row"])
-    def test_no_group_exceeds_the_budget_or_one_row(self, monkeypatch, budget, groups):
+    @pytest.mark.parametrize("budget, chunks", zip(BUDGETS, CHUNKS), ids=IDS)
+    def test_no_chunk_exceeds_the_budget_or_one_window(self, monkeypatch, budget, chunks):
         stacks = []
         real = pipeline.truncated_svd_batch
 
@@ -335,8 +375,8 @@ class TestRowGroups:
         monkeypatch.setattr(pipeline, "truncated_svd_batch", spy)
         noisy = add_gaussian(synth_lowrank_cube(self.DIMS, true_rank=2, seed=54), 0.05, seed=54)
         denoise(noisy, small_config(window=WindowConfig(patch_side=5, step=3, rank=3)))
-        assert max(stacks) <= max(budget, self.ROW_BYTES)
-        assert stacks == [rows * self.ROW_BYTES for rows in groups]
+        assert max(stacks) <= max(budget, self.WINDOW_BYTES)
+        assert stacks == [windows * self.WINDOW_BYTES for windows in chunks]
 
 
 class _Recorded:
@@ -359,88 +399,151 @@ class _RecordingPool(ThreadPoolExecutor):
         return future
 
 
-class TestRowScheduler:
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    @pytest.mark.parametrize("count", [1, 5, 7])
-    def test_bounded_lookahead_in_order_every_result_read(self, monkeypatch, workers, count):
-        monkeypatch.setattr(_RecordingPool, "submitted", [])
-        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _RecordingPool)
-        lock = threading.Lock()
-        consumed = 0
-        ahead = []
-
-        def fn(i):
-            with lock:
-                ahead.append(i + 1 - consumed)  # rows started, not consumed
-            time.sleep(0.002 * (1 + i % 3))
-            return i
-
-        out = []
-        for value in pipeline._ordered(fn, count, workers):
-            out.append(value)
-            time.sleep(0.001)
-            with lock:
-                consumed += 1
-        assert out == list(range(count))
-        assert max(ahead) <= workers
-        assert all(f.read for f in _RecordingPool.submitted)
-        assert bool(_RecordingPool.submitted) == (count > 1)
-
-    @pytest.mark.parametrize("bad", [0, 3])
-    def test_worker_exception_reaches_the_consumer(self, bad):
-        def fn(i):
-            if i == bad:
-                raise RuntimeError(f"row {i}")
-            time.sleep(0.002)
-            return i
-
-        with pytest.raises(RuntimeError, match=f"row {bad}"):
-            list(pipeline._ordered(fn, 6, 2))
-
-    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-    def test_no_consumed_row_is_alive_while_a_later_row_is_fitted(self, workers):
-        caller = threading.get_ident()
-        lock = threading.Lock()
-        consumed = []  # weakrefs of the rows the consumer has dropped
-
-        class Row:
-            pass
-
-        def check(i):
-            with lock:
-                alive = [k for k, ref in enumerate(consumed) if ref() is not None]
-            assert not alive, f"consumed rows {alive} still alive while row {i} is fitted"
-
-        def fn(i):
-            check(i)
-            if threading.get_ident() != caller:
-                time.sleep(0.02)
-            check(i)
-            return Row()
-
-        for row in pipeline._ordered(fn, 12, workers):
-            with lock:
-                consumed.append(weakref.ref(row))
-            del row
-            time.sleep(0.001)  # the consumer's work lets the pool threads run
-        assert len(consumed) == 12
+class TestCommitTurn:
+    """`pipeline._commit_in_order(fit, commit, count, workers)`: workers
+    fit chunk indices, and one commit turn commits them in index order."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("count", [1, 5, 7, 16])
-    def test_caller_fits_every_batch_head_and_pool_has_workers_minus_one(self, workers, count):
-        # One worker: the caller fits every row and no other thread runs fn.
+    def test_in_order_every_fit_committed_at_most_workers_plus_one_alive(
+            self, monkeypatch, workers, count):
+        monkeypatch.setattr(_RecordingPool, "submitted", [])
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _RecordingPool)
+        lock = threading.Lock()
+        started, committed, alive = [], [], []
+
+        def fit(i):
+            with lock:
+                started.append(i)
+                alive.append(len(started) - len(committed))  # fitting or pending
+            # Every fifth chunk is slow, so later ones finish out of turn.
+            time.sleep(0.02 if i % 5 == 0 else 0.002)
+            return ("fit", i)
+
+        def commit(fitted):
+            with lock:
+                committed.append(fitted)
+            time.sleep(0.001)
+
+        pipeline._commit_in_order(fit, commit, count, workers)
+        assert committed == [("fit", i) for i in range(count)]
+        assert sorted(started) == list(range(count))
+        assert max(alive) <= workers + 1
+        assert all(f.read for f in _RecordingPool.submitted)
+        assert len(_RecordingPool.submitted) == min(workers, count) - 1
+
+    def test_stress_more_workers_than_cores_with_a_short_switch_interval(self):
+        # Threads switch every few bytecodes, so a check-then-act on the
+        # turn, `done` or the pending fits outside the lock would drop,
+        # repeat or reorder a commit, or break the alive bound.
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (4, 8):
+                lock = threading.Lock()
+                started, committed, alive = [], [], []
+
+                def fit(i):
+                    with lock:
+                        started.append(i)
+                        alive.append(len(started) - len(committed))
+                    return i
+
+                def commit(i):
+                    with lock:
+                        committed.append(i)
+
+                t0 = time.perf_counter()
+                pipeline._commit_in_order(fit, commit, 4000, workers)
+                assert time.perf_counter() - t0 < 60
+                assert committed == list(range(4000))
+                assert max(alive) <= workers + 1
+        finally:
+            sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [0, 3])
+    @pytest.mark.parametrize("where", ["fit", "commit"])
+    def test_exception_stops_the_workers_and_reaches_the_caller(self, where, bad, workers):
+        before = set(threading.enumerate())
+        lock = threading.Lock()
+        started = []
+
+        def fit(i):
+            with lock:
+                started.append(i)
+            if where == "fit" and i == bad:
+                raise RuntimeError(f"chunk {i}")
+            time.sleep(0.002)
+            return i
+
+        def commit(i):
+            if where == "commit" and i == bad:
+                raise RuntimeError(f"chunk {i}")
+
+        with pytest.raises(RuntimeError, match=f"chunk {bad}"):
+            pipeline._commit_in_order(fit, commit, 20, workers)
+        assert set(threading.enumerate()) <= before  # no pool thread outlives the call
+        # Chunk `bad` is never committed, so at most workers + 1 from it are taken.
+        assert len(started) <= bad + workers + 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_no_committed_chunk_is_alive_while_a_later_one_is_fitted(self, workers):
+        # A thread may be inside its latest commit while another checks, so
+        # each thread's latest commit is checked by that thread itself, when
+        # it next fits or commits; every other committed chunk must be gone.
+        lock = threading.Lock()
+        committed = []  # weakrefs of committed chunks, in commit order
+        latest = {}  # thread -> index into `committed` of its latest commit
+
+        class Chunk:
+            pass
+
+        def check(i):
+            me = threading.get_ident()
+            with lock:
+                busy = {k for thread, k in latest.items() if thread != me}
+                alive = [k for k, ref in enumerate(committed)
+                         if k not in busy and ref() is not None]
+            assert not alive, f"committed chunks {alive} still alive while chunk {i} is fitted"
+
+        def fit(i):
+            check(i)
+            time.sleep(0.002 * (1 + i % 3))
+            check(i)
+            return Chunk()
+
+        def commit(chunk):
+            check("commit")
+            with lock:
+                latest[threading.get_ident()] = len(committed)
+                committed.append(weakref.ref(chunk))
+            time.sleep(0.001)
+
+        pipeline._commit_in_order(fit, commit, 12, workers)
+        assert len(committed) == 12
+        assert all(ref() is None for ref in committed)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("count", [1, 5, 7, 16])
+    def test_caller_fits_chunks_and_at_most_workers_minus_one_threads_help(self, workers, count):
+        # One worker: the caller fits every chunk and no other thread runs fit.
         lock = threading.Lock()
         threads = {}
 
-        def fn(i):
+        def fit(i):
             with lock:
                 threads[i] = threading.get_ident()
             time.sleep(0.002)
             return i
 
-        assert list(pipeline._ordered(fn, count, workers)) == list(range(count))
+        out = []
+        pipeline._commit_in_order(fit, out.append, count, workers)
+        assert out == list(range(count))
         caller = threading.get_ident()
-        assert {i for i, t in threads.items() if t == caller} == set(range(0, count, workers))
+        assert threads[0] == caller
+        if workers == 1:
+            assert set(threads.values()) == {caller}
         assert len(set(threads.values()) - {caller}) <= workers - 1
 
 
@@ -537,12 +640,14 @@ class TestMemory:
     """Peak allocations of one call, in cubes of the input's size.
 
     tracemalloc sees numpy's buffers. On a 96x96x32 cube (window 20, step
-    4, rank 7, TSVD, one worker) one origin row of 20 windows is 0.87
-    cubes. Plain denoising needs the accumulator, one fitted row and the
-    output; with the variance it also needs the grid's leverages and the
-    variance cube. The bounds sit about half a cube above what that costs
-    (2.55 and 3.13 cubes); a P-fold coverage cube or a second copy of each
-    row, as before, peaked at 5.0 and 5.6.
+    4, rank 7, TSVD) one origin row of 20 windows is 0.87 cubes, so each
+    chunk is 10 windows, 0.43 cubes. Plain denoising needs the accumulator,
+    divided in place into the output, and at most `workers` + 1 fitted
+    chunks; with the variance it also needs the grid's leverages and the
+    variance cube. One worker read 1.7 and 3.0 cubes, two 2.5-2.8 and
+    3.3-3.4. A P-fold coverage cube or a second copy of each row, as
+    before, peaked at 5.0 and 5.6; one whole row per chunk, with two
+    workers, at 3.8-4.1 and 4.3-4.7.
     """
 
     @staticmethod
@@ -555,11 +660,11 @@ class TestMemory:
         finally:
             tracemalloc.stop()
 
-    @pytest.fixture(scope="class")
-    def scene(self):
+    @pytest.fixture(scope="class", params=[1, 2], ids=["one-worker", "two-workers"])
+    def scene(self, request):
         cube = add_gaussian(synth_lowrank_cube((96, 96, 32), true_rank=7, seed=1), 0.05, seed=2)
         cfg = PipelineConfig(window=WindowConfig(patch_side=20, step=4, rank=7),
-                             sigma0=0.05, threads=1)
+                             sigma0=0.05, threads=request.param)
         return cube, cfg
 
     def test_denoise_peak(self, scene):
