@@ -119,9 +119,9 @@ def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -
                         help="tsvd fits without the sparse step, the same as "
                              "--sparse-card 0 (default godec)")
     parser.add_argument("--threads", type=_number(int, 1), default=None,
-                        help="worker threads, each fitting one group of origin rows "
-                             "of windows (up to about 1 MiB, at least one row) at a "
-                             "time with BLAS held at one thread (default: the usable "
+                        help="worker threads, each fitting one chunk of windows "
+                             "(at most 1 MiB, at least one window) at a time with "
+                             "BLAS held at one thread (default: the usable "
                              "cores when numpy's OpenBLAS can be held at one thread, "
                              "else 1); never changes output bytes")
 

@@ -154,13 +154,16 @@ _POWER_STEPS = 2
 
 
 # GoDec stops once an iteration lowers the residual norm by no more than a
-# fiftieth of that norm's own standard error under Gaussian noise: a K x L
+# fifth of that norm's own standard error under Gaussian noise: a K x L
 # residual of norm res has about res / sqrt(2 K L) of it, so smaller moves
-# are not resolved by the data. `_TOL` of the input norm (of 1 for smaller
+# are not resolved by the data. On the 64x64x64 rank-7 scene with 5%
+# impulses (window 20, 5% budget) a fifth rather than a fiftieth took 6.2-6.6
+# mean iterations per window down to 5.0-5.1, and rmse rose by at most
+# 0.07%; a half rose it by 0.11%. `_TOL` of the input norm (of 1 for smaller
 # inputs) is the floor: it sits far above the float64 rounding of that norm,
 # about 1e-16 relative, so round-off never decides the stop, and it alone
 # stops an exact low-rank input, whose residual is zero.
-_NOISE_STEPS = 50
+_NOISE_STEPS = 5
 _TOL = 1e-7
 # Largest Frobenius norm whose square float64 holds.
 _NORM_BOUND = float(np.sqrt(np.finfo(np.float64).max))
@@ -218,7 +221,7 @@ def godec(
     its norm.
 
     Convergence: stops once an iteration lowers the residual norm res by
-    no more than res / (50 sqrt(2 K L)), a fiftieth of that norm's standard
+    no more than res / (5 sqrt(2 K L)), a fifth of that norm's standard
     error under Gaussian noise, or by no more than `_TOL` times the input
     norm (of 1 for smaller inputs), whichever is larger; or after
     `max_iter` iterations. The floor alone stops an exact low-rank input.
@@ -268,6 +271,7 @@ def godec(
             q = np.linalg.qr(x.T @ (x @ q))[0]
         u, s, w, failed = _gram_fit(x @ q, rank)
         factors = truncated_svd(x, rank) if failed else LowRankFactors(u=u, s=s, v=q @ w)
+        del x, low_rank, residual, flat  # not read again: free them before the next pass
 
     sparse = np.zeros(mat.shape)
     sparse.ravel()[keep] = values

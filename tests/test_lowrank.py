@@ -379,10 +379,11 @@ class TestGodec:
 
     def test_stops_at_the_noise_scale_on_a_scene_shaped_window(self):
         # The window of the test above. Each iteration before the last
-        # lowers the residual norm by more than a fiftieth of its standard
-        # error under Gaussian noise, res / sqrt(2 K L) (or the _TOL floor);
-        # the last one does not. Stopping against the floor alone took 14
-        # iterations on this matrix.
+        # lowers the residual norm by more than the rule's fraction of its
+        # standard error under Gaussian noise, res / sqrt(2 K L) (or the
+        # _TOL floor); the last one does not. Stopping against the floor
+        # alone took 14 iterations on this matrix, a fiftieth of the
+        # standard error 11, and a fifth 9.
         rng = np.random.default_rng(26)
         a = rng.uniform(0, 1, (400, 7)) @ rng.uniform(0, 1, (7, 64)) / 7
         a += 0.05 * rng.standard_normal(a.shape)
@@ -391,12 +392,12 @@ class TestGodec:
         res = godec(a, 7, sparse_count=round(0.05 * a.size))
         hist = np.asarray(res.residual_history)
         floor = lowrank._TOL * np.linalg.norm(a)
-        bound = np.maximum(hist[1:] / (50 * np.sqrt(2 * a.size)), floor)
+        bound = np.maximum(hist[1:] / (lowrank._NOISE_STEPS * np.sqrt(2 * a.size)), floor)
         drops = hist[:-1] - hist[1:]
         assert res.converged
         assert np.all(drops[:-1] > bound[:-1])
         assert drops[-1] <= bound[-1]
-        assert res.iterations == hist.size < 14
+        assert res.iterations == hist.size < 11
 
     def test_transposed_input_matches_its_contiguous_copy(self):
         # The sparse part is kept as flat indices into the C-ordered

@@ -674,3 +674,27 @@ class TestMemory:
     def test_denoise_with_uq_peak(self, scene):
         cube, cfg = scene
         assert self.peak_cubes(lambda: denoise_with_uq(cube, cfg), cube) <= 3.6
+
+    def test_godec_chunk_peak(self):
+        # A chunk of five 400x64 windows, as on the benchmark scenes, with
+        # 5% impulses and a 5% budget. Beyond the gathered chunk, a window's
+        # GoDec pass needs its low-rank part, its residual and
+        # `_largest_index`'s two copies: 4.9 windows' bytes, or 6.9 while
+        # the last pass's x, residual and low-rank part are still alive.
+        rng = np.random.default_rng(5)
+        chunk = rng.uniform(0, 1, (5, 400, 7)) @ rng.uniform(0, 1, (5, 7, 64)) / 7
+        chunk += 0.05 * rng.standard_normal(chunk.shape)
+        hit = rng.random(chunk.shape) < 0.05
+        chunk[hit] = rng.integers(0, 2, hit.sum())
+        chunk = chunk.reshape(5, 20, 20, 64)
+        cfg = PipelineConfig(window=WindowConfig(patch_side=20, step=4, rank=7, sparse_card=0.05))
+        pipeline._fit_chunk(chunk.copy(), cfg, True)  # warm-up, so lazy state is not counted
+        fitted = chunk.copy()
+        tracemalloc.start()
+        try:
+            total = pipeline._fit_chunk(fitted, cfg, True)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total > 2 * len(chunk)  # GoDec ran warm passes
+        assert peak <= 5.5 * chunk[0].nbytes
