@@ -6,6 +6,10 @@ Container layout: one ASCII header line
 followed by exactly M*N*P little-endian scalars in band-sequential order
 (all of band 0 row-major, then band 1, ...). f64 cubes round-trip
 bit-identically; f32 narrows with round-to-nearest-even and is lossy.
+
+A cube read back is C-ordered (M, N, P) float64 in memory: the
+band-sequential order exists only in the file. Both directions convert
+through one reused slab of whole bands, never a copy of the whole cube.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from .cube import HsiCube
 _MAGIC = "HSIC1"
 _DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 # Largest read from a non-regular input, whose size is not known up front,
-# and largest slab of whole bands a write converts at a time (one band at
-# least).
+# and largest slab of whole bands converted at a time (one band at least;
+# a read also keeps its slab within 1/8 of the cube).
 _CHUNK = 1 << 20
 
 
@@ -45,10 +49,12 @@ class TruncatedPayloadError(ContainerError):
 def write_cube(cube: HsiCube, path: str, dtype: str = "f64") -> None:
     """Serialize a cube; "f64" is exact, "f32" narrows lossily and refuses overflow.
 
-    The band-sequential payload is converted and written in slabs of whole
-    bands of at most `_CHUNK` bytes each (one band at least), so no copy of
-    the whole cube is made. An f32 overflow is refused before the file is
-    opened.
+    The band-sequential payload is converted and written through one slab
+    buffer of whole bands of at most `_CHUNK` bytes (one band at least),
+    filled one pixel row at a time, so a cube of any memory layout (C,
+    Fortran, axis-swapped or a stride-0 view) writes the bytes of its C copy
+    and no copy of the whole cube is made. An f32 overflow is refused before
+    the file is opened.
     """
     if dtype not in _DTYPES:
         raise UnknownDtypeError(f"dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
@@ -62,16 +68,25 @@ def write_cube(cube: HsiCube, path: str, dtype: str = "f64") -> None:
         if np.isinf(ends).any():
             raise ValueError("cube holds values beyond the float32 range; write it as f64")
     step = max(1, _CHUNK // (m * n * dt.itemsize))
+    slab = np.empty((min(step, p), m, n), dtype=dt)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         for b in range(0, p, step):
-            slab = np.ascontiguousarray(np.moveaxis(cube.data[:, :, b:b + step], 2, 0), dtype=dt)
-            fh.write(memoryview(slab).cast("B"))
-            del slab  # so the next slab is not made while this one is alive
+            part = slab[:p - b]
+            for r in range(m):  # one pixel row at a time: any source layout
+                part[:, r] = cube.data[r, :, b:b + len(part)].T
+            fh.write(memoryview(part).cast("B"))
 
 
 def read_cube(path: str) -> HsiCube:
-    """Read a container back into a cube (f32 widens to f64 in memory)."""
+    """Read a container back into a C-ordered float64 cube (f32 widens).
+
+    A regular file's size is checked against the header before anything is
+    allocated; its payload is then read slab by slab of whole bands, at most
+    min(`_CHUNK`, 1/8 cube) bytes each, and each slab is transposed into the
+    freshly allocated cube. A pipe's buffer grows only as bytes arrive and is
+    converted once the whole payload is in.
+    """
     with open(path, "rb") as fh:
         header = fh.readline(256)
         if not header.endswith(b"\n"):
@@ -102,8 +117,16 @@ def read_cube(path: str) -> HsiCube:
             # A regular file's size bounds its payload before any allocation.
             got = info.st_size - fh.tell()
             if got >= need:
-                data = np.empty((p, m, n), dtype=dt)
-                got = fh.readinto(memoryview(data).cast("B"))
+                data = np.empty((m, n, p))
+                # m*n*p bytes is 1/8 of the float64 cube being filled.
+                step = max(1, min(_CHUNK, m * n * p) // (m * n * dt.itemsize))
+                slab = np.empty((min(step, p), m, n), dtype=dt)
+                got = 0
+                for b in range(0, p, len(slab)):
+                    part = slab[:p - b]
+                    got += fh.readinto(memoryview(part).cast("B"))
+                    data[:, :, b:b + len(part)] = part.transpose(1, 2, 0)
+                del slab, part  # before the cube's finiteness mask is made
         else:
             # A pipe's size is not known: the buffer grows only as bytes arrive.
             payload = bytearray()
@@ -114,15 +137,16 @@ def read_cube(path: str) -> HsiCube:
                 payload += chunk
             got = len(payload)
             if got == need:
-                data = np.frombuffer(payload, dtype=dt).reshape(p, m, n)
+                data = np.frombuffer(payload, dtype=dt).reshape(p, m, n).transpose(1, 2, 0)
+                data = np.ascontiguousarray(data, dtype=np.float64)
+                del payload
         if got < need:
             raise TruncatedPayloadError(
                 f"truncated payload: expected {need} bytes, got {got}"
             )
         if fh.read(1):
             raise ContainerError("trailing bytes after payload")
-    # The cube is a band-sequential view of the payload; f32 widens to f64.
-    return HsiCube(np.moveaxis(data, 0, 2), copy=dt != np.float64)
+    return HsiCube(data, copy=False)
 
 
 def _fmt(value) -> str:

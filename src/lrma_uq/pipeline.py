@@ -63,7 +63,8 @@ def _fit_chunk(chunk: np.ndarray, cfg: PipelineConfig, leverage: bool) -> tuple:
     One batched truncated SVD fits every window of the chunk. A positive
     sparse budget then refines each window with GoDec, started from that
     SVD. One batched matmul rebuilds each approximation u diag(s) v^T over
-    the chunk's `patch_to_matrix` view. Returns the chunk, the row
+    `patch_to_matrix(chunk)`, a view because the chunk is C-contiguous, so
+    the fits land in the chunk itself. Returns the chunk, the row
     (windows, J*J) and column (windows, P) leverages, or None for each
     when not asked for, the sum and the maximum of the windows' GoDec
     iteration counts (0 for the truncated SVD) and the count of windows
@@ -162,12 +163,15 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     Windows are fitted in chunks of consecutive windows in grid.origins
     (sorted-origin) order: as many whole origin rows as fit in
     `_GROUP_BYTES` once gathered, or, when one row is over it, as many of
-    a row's windows as fit, and at least one. numpy's OpenBLAS is held at
-    one thread. Workers fit chunks, and the one commit turn writes every
-    output (`_commit_in_order`): each chunk's windows are added one at a
-    time through `scatter_add_patch`, in sorted-origin order, so no stack
-    of all windows is ever held and every voxel's sum runs in the same
-    order for any worker count or chunk size. Then the chunk's leverages
+    a row's windows as fit, and at least one. Each chunk is gathered
+    C-contiguous whatever the cube's memory layout, so the layout never
+    changes an output byte; from a C-ordered cube, as `read_cube` returns,
+    each window's pixels are gathered as contiguous runs of bands. numpy's
+    OpenBLAS is held at one thread. Workers fit chunks, and the one commit
+    turn writes every output (`_commit_in_order`): each chunk's windows are
+    added one at a time through `scatter_add_patch`, in sorted-origin
+    order, so no stack of all windows is ever held and every voxel's sum
+    runs in the same order for any worker count or chunk size. Then the chunk's leverages
     are written in that order, or None when not asked for. The sum is
     divided by the coverage in place.
     """
@@ -189,7 +193,7 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
 
     def fit(i):
         here = slice(i * per, (i + 1) * per)
-        return _fit_chunk(windows[rows[here], cols[here]], cfg, leverage)
+        return _fit_chunk(np.ascontiguousarray(windows[rows[here], cols[here]]), cfg, leverage)
 
     def commit(fitted):
         nonlocal total, most, stalled, done

@@ -127,7 +127,9 @@ def patch_to_matrix(patch: np.ndarray) -> np.ndarray:
     """Reshape (..., J, J, P) full-band patches into (..., J*J, P) matrices.
 
     Row u is spatial pixel u in row-major order; column v is band v. A
-    C-contiguous patch gives a view, so writes to the matrix reach it.
+    C-contiguous patch gives a view, so writes to the matrix reach it; a
+    patch whose (J, J) axes cannot merge in place (a Fortran-ordered or
+    axis-swapped source, say) gives a copy, and writes to it are lost.
     """
     patch = np.asarray(patch)
     if patch.ndim < 3:

@@ -1,5 +1,5 @@
-"""Brute-force oracles shared by several test files, and the factor-error
-oracle of acceptance criterion 2."""
+"""Brute-force oracles and input layouts shared by several test files, and
+the factor-error oracle of acceptance criterion 2."""
 
 import csv
 import logging
@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from lrma_uq import LowRankFactors
+from lrma_uq import HsiCube, LowRankFactors
 
 logger = logging.getLogger(__name__)
 
@@ -17,6 +17,19 @@ def covering_origins(grid, row, col):
     in grid.origins order, by checking every window."""
     j = grid.config.patch_side
     return [(r, c) for r, c in grid.origins if r <= row < r + j and c <= col < c + j]
+
+
+def other_layouts(x: np.ndarray) -> dict:
+    """The values of C-ordered `x` as cubes of three other memory layouts:
+    Fortran-ordered, rows and columns swapped in memory, and the
+    band-sequential view that `read_cube` once returned."""
+    swapped = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    bsq = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 2, 0)), 0, 2)
+    return {
+        "fortran": HsiCube(np.asfortranarray(x)),
+        "axis-swapped": HsiCube(swapped, copy=False),
+        "bsq-view": HsiCube(bsq, copy=False),
+    }
 
 
 def read_report_csv(path: str) -> tuple[list[str], list[list[float]]]:

@@ -15,7 +15,16 @@ import numpy as np
 import pytest
 
 import lrma_uq
-from lrma_uq import blas, read_cube
+from lrma_uq import (
+    PipelineConfig,
+    WindowConfig,
+    add_gaussian,
+    blas,
+    denoise_with_uq,
+    read_cube,
+    synth_lowrank_cube,
+    write_cube,
+)
 from lrma_uq.cli import _build_parser, _resolve_threads, main
 from oracles import read_report_csv
 
@@ -126,6 +135,23 @@ class TestEndToEndChain:
         a.unlink()
         make_clean(capsys, tmp_path)
         assert (tmp_path / "clean.hsic").read_bytes() == data_a
+
+    @pytest.mark.parametrize("budget", ["0", "0.1"], ids=["tsvd", "godec"])
+    def test_denoise_of_a_file_matches_the_library_in_memory(self, capsys, tmp_path, budget):
+        # Criterion 1's cube and window: the file round trip adds no rounding.
+        clean = synth_lowrank_cube((40, 40, 16), true_rank=3, seed=1)
+        noisy = add_gaussian(clean, 0.05, seed=0)
+        noisy_path, den_path, var_path = (tmp_path / f for f in ("n.hsic", "d.hsic", "v.hsic"))
+        write_cube(noisy, str(noisy_path))
+        code, err = run(capsys, "denoise", "--in", str(noisy_path), "--out", str(den_path),
+                        "--variance-out", str(var_path), "--sigma0", "0.05",
+                        "--window", "8", "--step", "4", "--rank", "3",
+                        "--sparse-card", budget, "--threads", "2")
+        assert code == 0 and err == ""
+        window = WindowConfig(patch_side=8, step=4, rank=3, sparse_card=float(budget))
+        den, var = denoise_with_uq(noisy, PipelineConfig(window=window, sigma0=0.05))
+        assert read_cube(str(den_path)).data.tobytes() == den.data.tobytes()
+        assert read_cube(str(var_path)).data.tobytes() == var.data.tobytes()
 
 
 class TestDefaults:

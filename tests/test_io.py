@@ -23,14 +23,16 @@ from lrma_uq import (
     TimingReport,
     TruncatedPayloadError,
     UnknownDtypeError,
+    WindowConfig,
     cli,
+    enumerate_patches,
     io,
     read_cube,
     write_cube,
     write_qq_csv,
     write_report_csv,
 )
-from oracles import read_report_csv
+from oracles import other_layouts, read_report_csv
 
 
 def random_cube(dims=(4, 3, 5), seed=0) -> HsiCube:
@@ -208,6 +210,40 @@ class TestBandSlabs:
             read_cube(str(path))
 
 
+class TestMemoryLayout:
+    # A cube read back is C-ordered (M, N, P) float64, from a regular file
+    # or a pipe; a cube of any memory layout writes the bytes of its C copy.
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_read_returns_a_c_ordered_float64_cube(self, tmp_path, dtype, source):
+        cube = random_cube((9, 7, 20), seed=12)
+        path = tmp_path / "c.hsic"
+        write_cube(cube, str(path), dtype=dtype)
+        if source == "file":
+            back = read_cube(str(path))
+        else:
+            with piped(path.read_bytes()) as fd_path:
+                back = read_cube(fd_path)
+        assert back.data.dtype == np.float64 and back.data.flags.c_contiguous
+        expect = cube.data.astype(np.float32) if dtype == "f32" else cube.data
+        np.testing.assert_array_equal(back.data, expect)
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("layout", ["fortran", "axis-swapped", "bsq-view", "coverage"])
+    def test_any_layout_writes_the_bytes_of_its_c_copy(self, tmp_path, monkeypatch, dtype,
+                                                       layout):
+        monkeypatch.setattr(io, "_CHUNK", 3 * 8 * 6 * 8)  # several slabs, one partial
+        if layout == "coverage":  # a read-only view with band stride 0
+            cube = enumerate_patches((8, 6, 11), WindowConfig(patch_side=4, step=3)).coverage
+        else:
+            cube = other_layouts(random_cube((8, 6, 11), seed=13).data)[layout]
+        assert not cube.data.flags.c_contiguous
+        path = tmp_path / "l.hsic"
+        write_cube(cube, str(path), dtype=dtype)
+        copy = HsiCube(np.ascontiguousarray(cube.data))
+        assert path.read_bytes() == one_copy_bytes(copy, dtype)
+
+
 def traced_peak(fn) -> int:
     """Peak bytes allocated while fn runs, as tracemalloc sees them (numpy
     reports its array buffers to it)."""
@@ -220,11 +256,13 @@ def traced_peak(fn) -> int:
 
 
 class TestContainerMemory:
-    # The band-sequential payload is one cube. Writing converts it in slabs
-    # of whole bands of at most 1 MiB, and reading fills the returned cube
-    # straight from the file, plus the cube's one-byte-per-entry finiteness
-    # mask (1/8 cube). Neither holds the payload twice: both peaked at about
-    # 2 cubes when it also went through a bytes object.
+    # The band-sequential payload is one cube. Writing fills one reused slab
+    # of whole bands of at most 1 MiB a pixel row at a time. Reading
+    # allocates the C-ordered cube and transposes into it one reused slab
+    # of at most min(1 MiB, 1/8 cube), freed before the cube's
+    # one-byte-per-entry finiteness mask (1/8 cube) is made. Neither holds
+    # the payload twice: both peaked at about 2 cubes when it also went
+    # through a bytes object.
     def test_write_and_read_hold_one_cube(self, tmp_path):
         cube = random_cube((48, 40, 24), seed=3)
         path = str(tmp_path / "big.hsic")

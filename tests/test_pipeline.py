@@ -37,7 +37,7 @@ from lrma_uq import (
     synth_lowrank_cube,
     truncated_svd,
 )
-from oracles import covering_origins
+from oracles import covering_origins, other_layouts
 
 
 def small_config(**overrides) -> PipelineConfig:
@@ -322,6 +322,31 @@ class TestThreadDeterminism:
         for den, var in outputs[1:]:
             np.testing.assert_array_equal(den, outputs[0][0])
             np.testing.assert_array_equal(var, outputs[0][1])
+
+
+class TestInputLayout:
+    # The fit gathers C-contiguous chunks, so the input's memory layout never
+    # changes a byte. A Fortran-ordered or axis-swapped cube once came back
+    # un-denoised: its gather could not be reshaped in place, and the fits
+    # went to a copy.
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("sparse_card", [0, 0.1], ids=["tsvd", "godec"])
+    def test_layout_never_changes_output(self, monkeypatch, sparse_card, threads):
+        # Criterion 1's cube and window, in chunks of four windows so that
+        # both workers fit.
+        clean = synth_lowrank_cube((40, 40, 16), true_rank=3, seed=1)
+        noisy = add_gaussian(clean, 0.05, seed=0)
+        monkeypatch.setattr(pipeline, "_GROUP_BYTES", 4 * 8 * 8 * 16 * 8)
+        cfg = small_config(window=WindowConfig(patch_side=8, step=4, rank=3,
+                                               sparse_card=sparse_card),
+                           sigma0=0.05, threads=threads)
+        den, var = denoise_with_uq(noisy, cfg)
+        assert rmse(den, clean) < 0.6 * rmse(noisy, clean)
+        for name, cube in other_layouts(noisy.data).items():
+            assert not cube.data.flags.c_contiguous, name
+            other_den, other_var = denoise_with_uq(cube, cfg)
+            assert other_den.data.tobytes() == den.data.tobytes(), name
+            assert other_var.data.tobytes() == var.data.tobytes(), name
 
 
 class TestRowGroups:
