@@ -62,8 +62,9 @@ def _gram_fit(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     the other side is A v / s, and signs follow `truncated_svd`. A matrix
     whose Gram is zero or nearly rank-deficient (see _GRAM_FLOOR) is refit
     by the full SVD, one at a time, and flagged in the returned (...) mask.
-    `godec` discards such a refit of its K x r matrix and refits the whole
-    iterate instead; that path is rare (no scene window's warm step took it).
+    `godec` discards such a refit of its K x r matrix and refits its
+    returned low-rank part instead; that path is rare (no scene window's
+    final fit took it).
     A matrix whose Gram has no finite trace (entries above about 1e154) is
     fitted scaled by the power of two that brings its largest |entry| into
     [0.5, 1), which is exact, and its s is scaled back; every other matrix
@@ -146,13 +147,6 @@ def truncated_svd(mat: np.ndarray, rank: int) -> LowRankFactors:
     return LowRankFactors(u=u[0], s=s[0], v=v[0])
 
 
-# Block power steps of the warm low-rank step in `godec`. Over the 144
-# windows of a 64x64x64 rank-7 scene with 5% impulses (window 20, 5%
-# budget), one step ended 36 with a sparse support other than the one the
-# exact fit reaches; two steps ended 6.
-_POWER_STEPS = 2
-
-
 # GoDec stops once an iteration lowers the residual norm by no more than a
 # fifth of that norm's own standard error under Gaussian noise: a K x L
 # residual of norm res has about res / sqrt(2 K L) of it, so smaller moves
@@ -204,21 +198,25 @@ def godec(
     sparse_count = 0 the result equals a single truncated SVD. A caller
     that already holds that SVD, such as a batched fit of many windows,
     passes it as `start` (rank-r factors of a K x L input, else ValueError)
-    and the first fit is skipped; the result is the same. Later fits
-    warm-start from the previous iterate's right factor v: two block power
-    steps q = orth(x^T x q) from q = v, then Rayleigh-Ritz, where the
-    truncated SVD's Gram fit of the K x r matrix x q gives u, s and w, and
-    v = q w: one r x r eigendecomposition rather than a full Gram one. A
-    nearly rank-deficient r x r Gram refits x by the truncated SVD. Inside
-    the loop the sparse part is only the flat indices and values of its
-    entries; the dense one is built at the end.
+    and the first fit is skipped; the result is the same. Later passes
+    iterate on the warm subspace q (L x r, orthonormal; the first fit's v
+    to begin with) and factor nothing: each takes one block power step
+    q = orth(x^T (x q)) and sets the low-rank part to (x q) q^T, the
+    projection of x onto span(q). When the loop stops, one Rayleigh-Ritz
+    fit factors it: the truncated SVD's Gram fit of the K x r matrix x q
+    gives u, s and w, and v = q w, so u diag(s) v^T = x q q^T. If that
+    r x r Gram is nearly rank-deficient, the truncated SVD of the returned
+    low-rank part gives the factors instead; either way `factors`
+    reproduces `low_rank` up to rounding. Inside the loop the sparse part
+    is only the flat indices and values of its entries; the dense one is
+    built at the end.
 
     The residual norm is monotone non-increasing. The previous low-rank
-    part has row space span(v), so it is no closer to x than the
-    projection x v v^T; a power step captures at least as much of
-    ||x||_F^2 as v does, so the warm fit x q q^T is closer still; and the
-    sparse step keeps the residual's largest entries, which can only lower
-    its norm.
+    part has row space span(q) (span(v) for the first fit), so it is no
+    closer to x than the projection x q q^T; a power step captures at
+    least as much of ||x||_F^2 as q does, so the projection onto the
+    stepped q is closer still; and the sparse step keeps the residual's
+    largest entries, which can only lower its norm.
 
     Convergence: stops once an iteration lowers the residual norm res by
     no more than res / (5 sqrt(2 K L)), a fifth of that norm's standard
@@ -249,10 +247,11 @@ def godec(
     floor = _TOL * max(norm, 1.0)
     noise = _NOISE_STEPS * np.sqrt(2.0 * mat.size)
     factors = truncated_svd(mat, rank) if start is None else start
+    low_rank = factors.matrix()
+    q = factors.v
     history: list[float] = []
     prev = np.inf
     for it in range(1, max_iter + 1):
-        low_rank = factors.matrix()
         residual = mat - low_rank
         keep = _largest_index(residual, sparse_count)
         flat = residual.ravel()
@@ -266,13 +265,14 @@ def godec(
         prev = res
         x = mat.copy()
         x.ravel()[keep] -= values
-        q = factors.v
-        for _ in range(_POWER_STEPS):
-            q = np.linalg.qr(x.T @ (x @ q))[0]
-        u, s, w, failed = _gram_fit(x @ q, rank)
-        factors = truncated_svd(x, rank) if failed else LowRankFactors(u=u, s=s, v=q @ w)
+        q = np.linalg.qr(x.T @ (x @ q))[0]
+        xq = x @ q
         del x, low_rank, residual, flat  # not read again: free them before the next pass
+        low_rank = xq @ q.T
 
+    if it > 1:
+        u, s, w, failed = _gram_fit(xq, rank)
+        factors = truncated_svd(low_rank, rank) if failed else LowRankFactors(u=u, s=s, v=q @ w)
     sparse = np.zeros(mat.shape)
     sparse.ravel()[keep] = values
     return GodecResult(
