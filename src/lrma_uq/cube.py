@@ -22,6 +22,13 @@ def _require_counts(minimum: int = 1, /, **counts) -> None:
             raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _require_nonnegative(**values) -> None:
+    """Check that every named value is finite and >= 0."""
+    for name, value in values.items():
+        if not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 class VoxelIndex(NamedTuple):
     """Zero-based (row, col, band) coordinate into a cube."""
 

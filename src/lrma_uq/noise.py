@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HsiCube, _require_counts
+from .cube import HsiCube, _require_counts, _require_nonnegative
 
 # Distinct key words per consumer so gaussian, impulse, and synthesis draws
 # never share a counter stream even under the same user seed.
@@ -33,8 +33,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sigma0 < np.inf:
-            raise ValueError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
+        _require_nonnegative(sigma0=self.sigma0)
         if not 0.0 <= self.impulse_ratio <= 1.0:
             raise ValueError(
                 f"impulse_ratio must be in [0, 1], got {self.impulse_ratio}"
@@ -86,8 +85,7 @@ def add_gaussian(cube: HsiCube, sigma0: float, seed: int) -> HsiCube:
     Values are deliberately not clipped back into [0, 1]: clipping would
     truncate the noise distribution and bias any downstream variance model.
     """
-    if not 0 <= sigma0 < np.inf:
-        raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
+    _require_nonnegative(sigma0=sigma0)
     if sigma0 == 0:
         return cube.copy()
     rng = _generator(seed, _STREAM_GAUSSIAN)

@@ -13,7 +13,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import blas
-from .cube import HsiCube, VoxelIndex, _require_counts, hadamard_divide, scatter_add_patch
+from .cube import (HsiCube, VoxelIndex, _require_counts, _require_nonnegative, hadamard_divide,
+                   scatter_add_patch)
 from .lowrank import LowRankFactors, godec, truncated_svd_batch
 from .uncertainty import aggregate_variance
 from .windows import WindowConfig, enumerate_patches, patch_to_matrix
@@ -50,13 +51,12 @@ class PipelineConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if not 0 <= self.sigma0 < np.inf:
-            raise ValueError(f"sigma0 must be finite and >= 0, got {self.sigma0}")
+        _require_nonnegative(sigma0=self.sigma0)
         _require_counts(max_iter=self.max_iter, threads=self.threads)
 
 
 def _fit_chunk(chunk: np.ndarray, cfg: PipelineConfig, leverage: bool) -> tuple:
-    """Rank-r fit of a chunk of consecutive windows.
+    """Rank-r fit of a chunk of consecutive windows: (windows, per_window).
 
     `chunk` is the gathered, C-contiguous (windows, J, J, P) stack; each
     window is a (J*J) x P matrix, pixels in row-major order by bands.
@@ -64,32 +64,32 @@ def _fit_chunk(chunk: np.ndarray, cfg: PipelineConfig, leverage: bool) -> tuple:
     sparse budget then refines each window with GoDec, started from that
     SVD. One batched matmul rebuilds each approximation u diag(s) v^T over
     `patch_to_matrix(chunk)`, a view because the chunk is C-contiguous, so
-    the fits land in the chunk itself. Returns the chunk, the row
-    (windows, J*J) and column (windows, P) leverages, or None for each
-    when not asked for, the sum and the maximum of the windows' GoDec
-    iteration counts (0 for the truncated SVD) and the count of windows
-    that hit the GoDec iteration cap. The factors are not returned, so a
+    the fits land in the chunk itself: the returned windows. `per_window`
+    maps a name to an array with one leading entry per window: the row
+    (windows, J*J) and column (windows, P) leverages `row_lev` and `col_lev`
+    when asked for, and on the GoDec path each window's `iterations` and
+    whether it hit the cap (`capped`). The factors are not returned, so a
     fitted chunk waiting for its commit holds little beyond its windows.
     """
     w = cfg.window
     mats = patch_to_matrix(chunk)
     k = w.sparse_count(mats[0].size)
     u, s, v = truncated_svd_batch(mats, w.rank)
-    total = most = stalled = 0
+    per_window = {}
     if k:
+        iterations = per_window["iterations"] = np.empty(len(mats), dtype=int)
+        capped = per_window["capped"] = np.empty(len(mats), dtype=bool)
         for i, m in enumerate(mats):
             start = LowRankFactors(u=u[i], s=s[i], v=v[i])
             fit = godec(m, w.rank, k, max_iter=cfg.max_iter, start=start)
             u[i], s[i], v[i] = fit.factors.u, fit.factors.s, fit.factors.v
-            total += fit.iterations
-            most = max(most, fit.iterations)
-            stalled += not fit.converged
+            iterations[i], capped[i] = fit.iterations, not fit.converged
             del fit  # its dense parts are not read: drop them before the next window
     np.matmul(u * s[:, None, :], np.swapaxes(v, 1, 2).copy(), out=mats)
-    if not leverage:
-        return chunk, None, None, total, most, stalled
-    return (chunk, np.einsum("nur,nur->nu", u, u), np.einsum("nvr,nvr->nv", v, v),
-            total, most, stalled)
+    if leverage:
+        per_window["row_lev"] = np.einsum("nur,nur->nu", u, u)
+        per_window["col_lev"] = np.einsum("nvr,nvr->nv", v, v)
+    return chunk, per_window
 
 
 def _commit_in_order(fit, commit, count: int, workers: int) -> None:
@@ -158,7 +158,7 @@ def _commit_in_order(fit, commit, count: int, workers: int) -> None:
 
 
 def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
-    """Fit every window and average the fits: (grid, mean, row_lev, col_lev).
+    """Fit every window and average the fits: (grid, mean, per_window).
 
     Windows are fitted in chunks of consecutive windows in grid.origins
     (sorted-origin) order: as many whole origin rows as fit in
@@ -171,8 +171,9 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     turn writes every output (`_commit_in_order`): each chunk's windows are
     added one at a time through `scatter_add_patch`, in sorted-origin
     order, so no stack of all windows is ever held and every voxel's sum
-    runs in the same order for any worker count or chunk size. Then the chunk's leverages
-    are written in that order, or None when not asked for. The sum is
+    runs in the same order for any worker count or chunk size. Then each
+    of the chunk's per-window arrays fills the chunk's slice of one
+    grid-length array per name, allocated at first sight. The sum is
     divided by the coverage in place.
     """
     grid = enumerate_patches(cube.dims, cfg.window)
@@ -183,12 +184,9 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     per = max(1, _GROUP_BYTES // (jside * jside * cube.bands * cube.data.itemsize))
     if per >= grid.col_origins.size:
         per -= per % grid.col_origins.size  # whole origin rows
-    if leverage:
-        row_lev = np.empty((len(grid), jside * jside))
-        col_lev = np.empty((len(grid), cube.bands))
 
     acc = HsiCube.zeros(cube.dims)
-    total = most = stalled = 0
+    per_window = {}
     done = 0
 
     def fit(i):
@@ -196,30 +194,27 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
         return _fit_chunk(np.ascontiguousarray(windows[rows[here], cols[here]]), cfg, leverage)
 
     def commit(fitted):
-        nonlocal total, most, stalled, done
-        approx, lu, lv, chunk_total, chunk_most, capped = fitted
+        nonlocal done
+        approx, arrays = fitted
         here = slice(done, done + len(approx))
         for (r, c), block in zip(grid.origins[here], approx):
             scatter_add_patch(acc, VoxelIndex(r, c, 0), block)
-        if leverage:
-            row_lev[here], col_lev[here] = lu, lv
+        for name, values in arrays.items():
+            if name not in per_window:
+                per_window[name] = np.empty((len(grid),) + values.shape[1:], values.dtype)
+            per_window[name][here] = values
         done = here.stop
-        total += chunk_total
-        most = max(most, chunk_most)
-        stalled += capped
 
     with blas._one_thread():
         _commit_in_order(fit, commit, -(-len(grid) // per), cfg.threads)
-    if total:
+    if "iterations" in per_window:
+        iterations, capped = per_window["iterations"], np.count_nonzero(per_window["capped"])
         _log.debug("godec: %d windows, %.2f mean and %d max iterations, %d capped",
-                   len(grid), total / len(grid), most, stalled)
-    if stalled:
-        _log.warning("%d of %d patches hit the iteration cap before converging",
-                     stalled, len(grid))
-    mean = hadamard_divide(acc, grid.coverage, out=acc)
-    if not leverage:
-        return grid, mean, None, None
-    return grid, mean, row_lev, col_lev
+                   len(grid), iterations.mean(), iterations.max(), capped)
+        if capped:
+            _log.warning("%d of %d patches hit the iteration cap before converging",
+                         capped, len(grid))
+    return grid, hadamard_divide(acc, grid.coverage, out=acc), per_window
 
 
 def denoise(cube: HsiCube, cfg: PipelineConfig) -> HsiCube:
@@ -238,5 +233,5 @@ def denoise_with_uq(cube: HsiCube, cfg: PipelineConfig) -> tuple[HsiCube, HsiCub
     spatial (row-leverage) part is correlated between windows by their
     shared-footprint fraction, the spectral (column-leverage) part fully.
     """
-    grid, mean, row_lev, col_lev = _fit_windows(cube, cfg, leverage=True)
-    return mean, aggregate_variance(row_lev, col_lev, grid, cfg.sigma0)
+    grid, mean, per_window = _fit_windows(cube, cfg, leverage=True)
+    return mean, aggregate_variance(per_window["row_lev"], per_window["col_lev"], grid, cfg.sigma0)

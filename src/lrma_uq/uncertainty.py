@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cube import HsiCube
+from .cube import HsiCube, _require_nonnegative
 from .windows import Origin, PatchGrid, _cover_indicator
 
 
@@ -89,8 +89,7 @@ def aggregate_variance(
     row_lev is (len(grid), J*J) and col_lev is (len(grid), P), both
     non-negative and in grid.origins order; sigma0 must be finite and >= 0.
     """
-    if not 0 <= sigma0 < np.inf:
-        raise ValueError(f"sigma0 must be finite and >= 0, got {sigma0}")
+    _require_nonnegative(sigma0=sigma0)
     jside = grid.config.patch_side
     m, n, p = grid.dims
     count = len(grid)

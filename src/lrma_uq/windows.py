@@ -8,7 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cube import HsiCube, VoxelIndex, _require_counts, hadamard_divide, scatter_add_patch
+from .cube import (HsiCube, VoxelIndex, _require_counts, _require_nonnegative, hadamard_divide,
+                   scatter_add_patch)
 
 Origin = tuple[int, int]
 
@@ -34,8 +35,7 @@ class WindowConfig:
         _require_counts(patch_side=self.patch_side, step=self.step, rank=self.rank)
         if self.step > self.patch_side:
             raise ValueError(f"step must be <= patch_side {self.patch_side}, got {self.step}")
-        if not 0 <= self.sparse_card < np.inf:
-            raise ValueError(f"sparse_card must be finite and >= 0, got {self.sparse_card}")
+        _require_nonnegative(sparse_card=self.sparse_card)
         if self.sparse_card >= 1 and self.sparse_card != int(self.sparse_card):
             raise ValueError(f"sparse_card >= 1 must be a whole count, got {self.sparse_card}")
 

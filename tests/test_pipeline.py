@@ -573,6 +573,86 @@ class TestCommitTurn:
         assert len(set(threads.values()) - {caller}) <= workers - 1
 
 
+class TestPerWindowRecord:
+    """`_fit_chunk` returns its windows and a map of per-window arrays; the
+    commit turn writes each one into a grid-length array in origin order.
+    The 32x30x64 cube has 4 origin rows of 4 windows of 20x20x64, fitted
+    one row per 1 MiB chunk."""
+
+    DIMS = (32, 30, 64)
+    KEYS = {0: {"row_lev", "col_lev"}, 0.05: {"row_lev", "col_lev", "iterations", "capped"}}
+
+    @pytest.fixture(scope="class")
+    def noisy(self):
+        clean = synth_lowrank_cube(self.DIMS, true_rank=5, seed=71)
+        return apply_noise(clean, NoiseSpec(sigma0=0.05, impulse_ratio=0.05, seed=71))
+
+    @pytest.mark.parametrize("sparse_card", [0, 0.05], ids=["tsvd", "godec"])
+    def test_arrays_never_depend_on_workers_or_chunks(self, monkeypatch, noisy, sparse_card):
+        window = WindowConfig(patch_side=20, step=4, rank=7, sparse_card=sparse_card)
+        count = len(enumerate_patches(self.DIMS, window))
+        records = []
+        for budget in (pipeline._GROUP_BYTES, 0):
+            monkeypatch.setattr(pipeline, "_GROUP_BYTES", budget)
+            for threads in (1, 2, 8):
+                cfg = PipelineConfig(window=window, threads=threads)
+                records.append(pipeline._fit_windows(noisy, cfg, True)[2])
+        first = records[0]
+        assert set(first) == self.KEYS[sparse_card]
+        assert first["row_lev"].shape == (count, 400) and first["col_lev"].shape == (count, 64)
+        if sparse_card:
+            assert first["iterations"].shape == first["capped"].shape == (count,)
+            assert first["capped"].dtype == bool
+        for record in records[1:]:
+            assert set(record) == set(first)
+            for name, values in first.items():
+                assert record[name].dtype == values.dtype, name
+                assert record[name].tobytes() == values.tobytes(), name
+
+    @pytest.mark.parametrize("max_iter", [100, 2])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_iterations_match_the_godec_calls(self, monkeypatch, noisy, max_iter, threads):
+        fits = []
+        real = pipeline.godec
+
+        def spy(*args, **kwargs):
+            fit = real(*args, **kwargs)
+            fits.append((fit.iterations, fit.converged))
+            return fit
+
+        monkeypatch.setattr(pipeline, "godec", spy)
+        window = WindowConfig(patch_side=20, step=4, rank=7, sparse_card=0.05)
+        cfg = PipelineConfig(window=window, max_iter=max_iter, threads=threads)
+        record = pipeline._fit_windows(noisy, cfg, False)[2]
+        assert set(record) == {"iterations", "capped"}
+        counts = [iterations for iterations, _ in fits]
+        capped = sum(not converged for _, converged in fits)
+        assert (capped > 0) == (max_iter == 2)
+        assert record["iterations"].sum() == sum(counts)
+        assert record["iterations"].max() == max(counts)
+        assert np.count_nonzero(record["capped"]) == capped
+
+    def test_tsvd_denoise_builds_no_per_window_array(self, monkeypatch, noisy):
+        chunks, outputs = [], []
+        real_chunk, real_windows = pipeline._fit_chunk, pipeline._fit_windows
+
+        def chunk_spy(*args):
+            fitted = real_chunk(*args)
+            chunks.append(fitted[1])
+            return fitted
+
+        def windows_spy(*args, **kwargs):
+            fitted = real_windows(*args, **kwargs)
+            outputs.append(fitted[2])
+            return fitted
+
+        monkeypatch.setattr(pipeline, "_fit_chunk", chunk_spy)
+        monkeypatch.setattr(pipeline, "_fit_windows", windows_spy)
+        denoise(noisy, PipelineConfig(window=WindowConfig(patch_side=20, step=4, rank=7)))
+        assert chunks == [{}] * 4
+        assert outputs == [{}]
+
+
 class TestDenoiseWithUq:
     @pytest.mark.parametrize("sparse_card", [0, 9])
     @pytest.mark.parametrize("threads", [1, 2])
@@ -718,7 +798,7 @@ class TestMemory:
         fitted = chunk.copy()
         tracemalloc.start()
         try:
-            total = pipeline._fit_chunk(fitted, cfg, True)[3]
+            total = pipeline._fit_chunk(fitted, cfg, True)[1]["iterations"].sum()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
