@@ -54,17 +54,14 @@ class GodecResult:
 _GRAM_FLOOR = 1e-8
 
 
-def _gram_fit(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _gram_fit(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-r factors u, s, v of every finite matrix in an (..., K, L) array.
 
     The top r eigenpairs of the Gram matrix on the smaller side (A^T A, or
     A A^T when K < L) give that side's singular vectors and s = sqrt(lambda);
     the other side is A v / s, and signs follow `truncated_svd`. A matrix
     whose Gram is zero or nearly rank-deficient (see _GRAM_FLOOR) is refit
-    by the full SVD, one at a time, and flagged in the returned (...) mask.
-    `godec` discards such a refit of its K x r matrix and refits its
-    returned low-rank part instead; that path is rare (no scene window's
-    final fit took it).
+    by the full SVD, one at a time.
     A matrix whose Gram has no finite trace (entries above about 1e154) is
     fitted scaled by the power of two that brings its largest |entry| into
     [0.5, 1), which is exact, and its s is scaled back; every other matrix
@@ -99,7 +96,7 @@ def _gram_fit(a: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     if exp is not None:
         s[huge] = np.ldexp(s[huge], exp)
     u, v = _anchor_signs(u, v)
-    return u, s, v, failed
+    return u, s, v
 
 
 def truncated_svd_batch(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,7 +116,7 @@ def truncated_svd_batch(mats: np.ndarray, rank: int) -> tuple[np.ndarray, np.nda
     _require_counts(rank=rank)
     if rank > min(k, l):
         raise ValueError(f"rank must satisfy 1 <= rank <= {min(k, l)}, got {rank}")
-    return _gram_fit(mats, rank)[:3]
+    return _gram_fit(mats, rank)
 
 
 def _anchor_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,10 +201,9 @@ def godec(
     q = orth(x^T (x q)) and sets the low-rank part to (x q) q^T, the
     projection of x onto span(q). When the loop stops, one Rayleigh-Ritz
     fit factors it: the truncated SVD's Gram fit of the K x r matrix x q
-    gives u, s and w, and v = q w, so u diag(s) v^T = x q q^T. If that
-    r x r Gram is nearly rank-deficient, the truncated SVD of the returned
-    low-rank part gives the factors instead; either way `factors`
-    reproduces `low_rank` up to rounding. Inside the loop the sparse part
+    gives u, s and w, and v = q w, so u diag(s) v^T = x q q^T: `factors`
+    reproduces `low_rank` up to rounding, the kernel's full-SVD refit of a
+    nearly rank-deficient x q included. Inside the loop the sparse part
     is only the flat indices and values of its entries; the dense one is
     built at the end.
 
@@ -271,8 +267,8 @@ def godec(
         low_rank = xq @ q.T
 
     if it > 1:
-        u, s, w, failed = _gram_fit(xq, rank)
-        factors = truncated_svd(low_rank, rank) if failed else LowRankFactors(u=u, s=s, v=q @ w)
+        u, s, w = _gram_fit(xq, rank)
+        factors = LowRankFactors(u=u, s=s, v=q @ w)
     sparse = np.zeros(mat.shape)
     sparse.ravel()[keep] = values
     return GodecResult(

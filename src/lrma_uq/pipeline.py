@@ -22,12 +22,11 @@ from .windows import WindowConfig, enumerate_patches, patch_to_matrix
 _log = logging.getLogger(__name__)
 
 # Byte budget of one chunk of windows once gathered. A chunk is as many
-# whole origin rows as fit in the budget; a row over it is cut into runs of
-# consecutive windows that do, and every chunk holds at least one window.
-# A chunk pays the fixed cost of its numpy calls once, not once per window,
-# and caps the fit's working set on large scenes. Rows under the budget are
-# not split to feed more workers: on 40x40x16 (window 8/4/3) with two
-# workers, two groups of the nine rows denoised slower than one.
+# consecutive windows as fit in the budget, and at least one. It pays the
+# fixed cost of its numpy calls once, not once per window, and caps the
+# fit's working set on large scenes. Chunks are not cut below the budget
+# to feed more workers: on 40x40x16 (window 8/4/3) with two workers, two
+# groups of the nine rows denoised slower than one.
 _GROUP_BYTES = 1 << 20
 
 
@@ -161,20 +160,18 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     """Fit every window and average the fits: (grid, mean, per_window).
 
     Windows are fitted in chunks of consecutive windows in grid.origins
-    (sorted-origin) order: as many whole origin rows as fit in
-    `_GROUP_BYTES` once gathered, or, when one row is over it, as many of
-    a row's windows as fit, and at least one. Each chunk is gathered
-    C-contiguous whatever the cube's memory layout, so the layout never
-    changes an output byte; from a C-ordered cube, as `read_cube` returns,
-    each window's pixels are gathered as contiguous runs of bands. numpy's
-    OpenBLAS is held at one thread. Workers fit chunks, and the one commit
-    turn writes every output (`_commit_in_order`): each chunk's windows are
-    added one at a time through `scatter_add_patch`, in sorted-origin
-    order, so no stack of all windows is ever held and every voxel's sum
-    runs in the same order for any worker count or chunk size. Then each
-    of the chunk's per-window arrays fills the chunk's slice of one
-    grid-length array per name, allocated at first sight. The sum is
-    divided by the coverage in place.
+    (sorted-origin) order: as many as fit in `_GROUP_BYTES` once gathered,
+    and at least one. Each chunk is gathered C-contiguous whatever the
+    cube's memory layout, so the layout never changes an output byte; from
+    a C-ordered cube, as `read_cube` returns, each window's pixels are
+    gathered as contiguous runs of bands. numpy's OpenBLAS is held at one
+    thread. Workers fit chunks, and the one commit turn writes every output
+    (`_commit_in_order`): each chunk's windows are added one at a time
+    through `scatter_add_patch`, in sorted-origin order, so no stack of all
+    windows is ever held and every voxel's sum runs in the same order for
+    any worker count or chunk size. Then each of the chunk's per-window
+    arrays fills the chunk's slice of one grid-length array per name,
+    allocated at first sight. The sum is divided by the coverage in place.
     """
     grid = enumerate_patches(cube.dims, cfg.window)
     jside = cfg.window.patch_side
@@ -182,8 +179,6 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     windows = np.moveaxis(sliding_window_view(cube.data, (jside, jside), axis=(0, 1)), 2, 4)
     rows, cols = np.array(grid.origins).T
     per = max(1, _GROUP_BYTES // (jside * jside * cube.bands * cube.data.itemsize))
-    if per >= grid.col_origins.size:
-        per -= per % grid.col_origins.size  # whole origin rows
 
     acc = HsiCube.zeros(cube.dims)
     per_window = {}

@@ -221,15 +221,17 @@ class TestTruncatedSvdBatch:
 
     @pytest.mark.parametrize("shape, rank", [((40, 9), 4), ((6, 15), 3), ((12, 3), 3)],
                              ids=["tall", "wide", "rank-deficient"])
-    def test_kernel_on_one_matrix_equals_a_stack_of_one(self, shape, rank):
-        # godec's warm step runs the kernel on a 2-D matrix; the SVD oracle
-        # above pins it on stacks.
+    def test_kernel_on_one_matrix_equals_a_stack_of_one(self, monkeypatch, shape, rank):
+        # godec's Ritz fit runs the kernel on a 2-D matrix; the SVD oracle
+        # above pins it on stacks. A rank-deficient matrix is refit by one
+        # full SVD inside the kernel.
         mat = np.random.default_rng(35).standard_normal(shape)
         if shape == (12, 3):
             mat[:, 2] = mat[:, 0] + mat[:, 1]
-        *one, failed = lowrank._gram_fit(mat, rank)
-        assert failed == (shape == (12, 3))
-        for got, stacked in zip(one, truncated_svd_batch(mat[None], rank)):
+        svd_calls = counting_svd(monkeypatch)
+        u, s, v = lowrank._gram_fit(mat, rank)
+        assert svd_calls == ([(12, 3)] if shape == (12, 3) else [])
+        for got, stacked in zip((u, s, v), truncated_svd_batch(mat[None], rank)):
             np.testing.assert_array_equal(got, stacked[0])
 
     def test_stack_of_one_is_truncated_svd(self):
@@ -410,23 +412,26 @@ class TestGodec:
         np.testing.assert_array_equal(res.low_rank, oracle.low_rank)
         assert np.count_nonzero(res.sparse) == 9
 
-    def test_rank_deficient_iterate_takes_the_exact_fallback(self, monkeypatch):
+    def test_rank_deficient_iterate_takes_the_kernel_refit(self, monkeypatch):
         # A rank-2 input fitted at rank 3 keeps every iterate at nearly rank
-        # 2, so the final Ritz fit's 3x3 Gram fails the floor and the
-        # returned low-rank part is refit by truncated_svd, once, after the
-        # loop. A 1e-5 perturbation keeps the residual falling past the
-        # second pass. (Spikes on a rank-2 input do not serve: the third
+        # 2, so the final Ritz fit's 3x3 Gram fails the floor and the kernel
+        # refits the 12x3 x q by its full SVD; truncated_svd runs only for
+        # the first fit. A 1e-5 perturbation keeps the residual falling past
+        # the second pass. (Spikes on a rank-2 input do not serve: the third
         # direction absorbs one and keeps it.)
         rng = np.random.default_rng(25)
         base = rng.standard_normal((12, 2)) @ rng.standard_normal((2, 9))
         noise = 1e-5 * np.random.default_rng(26).standard_normal(base.shape)
+        a = base + noise
         calls = []
         real = lowrank.truncated_svd
         monkeypatch.setattr(lowrank, "truncated_svd",
                             lambda *args: calls.append(args[0]) or real(*args))
-        res = godec(base + noise, 3, sparse_count=4)
-        assert res.iterations >= 3 and len(calls) == 2
-        assert calls[1] is res.low_rank
+        svd_calls = counting_svd(monkeypatch)
+        res = godec(a, 3, sparse_count=4)
+        assert res.iterations >= 3
+        assert len(calls) == 1 and calls[0] is a
+        assert svd_calls == [(12, 9), (12, 3)]  # the first fit's own refit, then x q's
         f = res.factors
         assert np.all(np.isfinite(f.s))
         np.testing.assert_allclose(f.u.T @ f.u, np.eye(3), atol=1e-12)

@@ -32,6 +32,7 @@ from lrma_uq import (
     denoise_with_uq,
     enumerate_patches,
     godec,
+    lowrank,
     overlap_ratio,
     pipeline,
     synth_lowrank_cube,
@@ -350,21 +351,48 @@ class TestInputLayout:
             assert other_var.data.tobytes() == var.data.tobytes(), name
 
 
+def test_no_data_stripe_through_godec(monkeypatch):
+    # Criterion 1's cube with its first 12 rows zeroed, a no-data stripe:
+    # the 18 windows of origin rows 0 and 4 are all zero, so both their
+    # first fit and their final Ritz fit have a zero Gram, which the kernel
+    # refits by its full SVD. truncated_svd never runs: the chunk's batched
+    # SVD starts every window's GoDec.
+    clean = synth_lowrank_cube((40, 40, 16), true_rank=3, seed=1)
+    noisy = add_gaussian(clean, 0.05, seed=0)
+    noisy.data[:12] = 0.0
+    window = WindowConfig(patch_side=8, step=4, rank=3, sparse_card=0.05)
+    calls = []
+    real = lowrank.truncated_svd
+    monkeypatch.setattr(lowrank, "truncated_svd",
+                        lambda *args: calls.append(args[0].shape) or real(*args))
+    outputs = []
+    for threads in (1, 2):
+        den, var = denoise_with_uq(noisy, small_config(window=window, sigma0=0.05,
+                                                       threads=threads))
+        assert np.all(den.data[:12] == 0.0)
+        assert np.isfinite(den.data).all() and np.isfinite(var.data).all()
+        outputs.append((den.data.tobytes(), var.data.tobytes()))
+    assert outputs[0] == outputs[1]
+    assert calls == []
+
+
 class TestRowGroups:
     """Windows are fitted in chunks of up to `_GROUP_BYTES` once gathered:
-    whole origin rows while one row fits, else runs of consecutive windows,
-    and at least one window each. On a 23x14x5 image with window 5/3, 7 row
-    origins of 4 windows make 1,000-byte windows and 4,000-byte rows: a
-    1 MiB budget holds all 28 windows in one chunk, 12,000 bytes packs
-    whole rows 3/3/1, 3,999 bytes cuts runs of 3 windows, 2,000 bytes runs
-    of 2, and 999 bytes leaves one window per chunk."""
+    runs of as many consecutive windows as fit, and at least one window
+    each, whether or not a run ends on an origin row's end. On a 23x14x5
+    image with window 5/3, 7 row origins of 4 windows make 1,000-byte
+    windows and 4,000-byte rows: a 1 MiB budget holds all 28 windows in one
+    chunk, 12,000 bytes packs whole rows 3/3/1, 13,000 bytes runs of 13
+    that end mid-row, 3,999 bytes runs of 3, 2,000 bytes runs of 2, and
+    999 bytes leaves one window per chunk."""
 
     DIMS = (23, 14, 5)
     WINDOW_BYTES = 5 * 5 * 5 * 8
     ROW_BYTES = 4 * WINDOW_BYTES
-    BUDGETS = [1 << 20, 3 * ROW_BYTES, ROW_BYTES - 1, 2 * WINDOW_BYTES, WINDOW_BYTES - 1]
-    IDS = ["all-rows", "3-3-1", "below-a-row", "two-windows", "below-a-window"]
-    CHUNKS = [[28], [12, 12, 4], [3] * 9 + [1], [2] * 14, [1] * 28]
+    BUDGETS = [1 << 20, 3 * ROW_BYTES, 13 * WINDOW_BYTES, ROW_BYTES - 1, 2 * WINDOW_BYTES,
+               WINDOW_BYTES - 1]
+    IDS = ["all-rows", "3-3-1", "13-windows", "below-a-row", "two-windows", "below-a-window"]
+    CHUNKS = [[28], [12, 12, 4], [13, 13, 2], [3] * 9 + [1], [2] * 14, [1] * 28]
 
     @pytest.fixture(scope="class", params=[0, 0.05], ids=["tsvd", "godec"])
     def case(self, request):
