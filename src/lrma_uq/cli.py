@@ -105,19 +105,19 @@ def _resolve_threads(value: int | None) -> int:
 
 
 def _add_window_flags(parser: argparse.ArgumentParser, with_rank: bool = True) -> None:
-    parser.add_argument("--window", type=_number(int, 1), default=20,
-                        help="spatial side of the sliding window (default 20)")
-    parser.add_argument("--step", type=_number(int, 1), default=4,
-                        help="stride between window origins (default 4)")
+    parser.add_argument("--window", type=_number(int, 1), default=WindowConfig.patch_side,
+                        help="spatial side of the sliding window (default %(default)s)")
+    parser.add_argument("--step", type=_number(int, 1), default=WindowConfig.step,
+                        help="stride between window origins (default %(default)s)")
     if with_rank:
-        parser.add_argument("--rank", type=_number(int, 1), default=7,
-                            help="rank of the per-window fit (default 7)")
-    parser.add_argument("--sparse-card", type=_number(float, 0.0), default=0.0,
+        parser.add_argument("--rank", type=_number(int, 1), default=WindowConfig.rank,
+                            help="rank of the per-window fit (default %(default)s)")
+    parser.add_argument("--sparse-card", type=_number(float, 0.0), default=WindowConfig.sparse_card,
                         help="sparse budget: 0 disables, <1 is a fraction of "
-                             "patch entries, >=1 a whole count")
+                             "patch entries, >=1 a whole count (default %(default)s)")
     parser.add_argument("--solver", choices=("godec", "tsvd"), default="godec",
-                        help="tsvd fits without the sparse step, the same as "
-                             "--sparse-card 0 (default godec)")
+                        help="godec (default) runs GoDec only with a positive --sparse-card, "
+                             "else the TSVD; tsvd forces a zero sparse budget")
     parser.add_argument("--threads", type=_number(int, 1), default=None,
                         help="worker threads, each fitting one chunk of windows "
                              "(at most 1 MiB, at least one window) at a time with "

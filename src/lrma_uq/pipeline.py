@@ -169,9 +169,9 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     (`_commit_in_order`): each chunk's windows are added one at a time
     through `scatter_add_patch`, in sorted-origin order, so no stack of all
     windows is ever held and every voxel's sum runs in the same order for
-    any worker count or chunk size. Then each of the chunk's per-window
-    arrays fills the chunk's slice of one grid-length array per name,
-    allocated at first sight. The sum is divided by the coverage in place.
+    any worker count or chunk size. Each per-window array fills the grid
+    slice its fit returned of one grid-length array per name, allocated
+    at first sight. The sum is divided by the coverage in place.
     """
     grid = enumerate_patches(cube.dims, cfg.window)
     jside = cfg.window.patch_side
@@ -182,23 +182,19 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
 
     acc = HsiCube.zeros(cube.dims)
     per_window = {}
-    done = 0
 
     def fit(i):
         here = slice(i * per, (i + 1) * per)
-        return _fit_chunk(np.ascontiguousarray(windows[rows[here], cols[here]]), cfg, leverage)
+        return here, *_fit_chunk(np.ascontiguousarray(windows[rows[here], cols[here]]), cfg, leverage)
 
     def commit(fitted):
-        nonlocal done
-        approx, arrays = fitted
-        here = slice(done, done + len(approx))
+        here, approx, arrays = fitted
         for (r, c), block in zip(grid.origins[here], approx):
             scatter_add_patch(acc, VoxelIndex(r, c, 0), block)
         for name, values in arrays.items():
             if name not in per_window:
                 per_window[name] = np.empty((len(grid),) + values.shape[1:], values.dtype)
             per_window[name][here] = values
-        done = here.stop
 
     with blas._one_thread():
         _commit_in_order(fit, commit, -(-len(grid) // per), cfg.threads)

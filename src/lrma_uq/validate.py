@@ -35,7 +35,6 @@ class McReport:
     base_seed: int
     sigma_mode: str
     config: PipelineConfig
-    trial_mean: HsiCube
     coverage: HsiCube
     mean_coverage: float
     std_coverage: float
@@ -188,7 +187,6 @@ def monte_carlo(
         base_seed=base_seed,
         sigma_mode=sigma_mode,
         config=cfg,
-        trial_mean=HsiCube(stack.mean(axis=0), copy=False),
         coverage=coverage,
         mean_coverage=mean_c,
         std_coverage=std_c,

@@ -342,7 +342,6 @@ def make_mc_report() -> McReport:
         base_seed=42,
         sigma_mode="trial0",
         config=PipelineConfig(),
-        trial_mean=tiny_cube(),
         coverage=tiny_cube(),
         mean_coverage=0.1 + 0.2,  # deliberately not representable as "0.3"
         std_coverage=1.0 / 3.0,

@@ -600,6 +600,56 @@ class TestCommitTurn:
             assert set(threads.values()) == {caller}
         assert len(set(threads.values()) - {caller}) <= workers - 1
 
+    @pytest.fixture(scope="class")
+    def scene(self):
+        clean = synth_lowrank_cube((32, 30, 64), true_rank=7, seed=73)
+        return apply_noise(clean, NoiseSpec(sigma0=0.05, impulse_ratio=0.05, seed=73))
+
+    @pytest.mark.parametrize("sparse_card", [0, 0.05], ids=["tsvd", "godec"])
+    def test_chunks_finished_out_of_order_commit_the_same_bytes(
+            self, monkeypatch, scene, sparse_card):
+        # Two 20x20x64 windows per chunk: the 16 windows make 8 chunks. The
+        # calling thread's fits wait until pool threads have finished two, so
+        # later chunks finish before earlier ones and wait for their commit.
+        monkeypatch.setattr(pipeline, "_GROUP_BYTES", 2 * 20 * 20 * 64 * 8)
+        window = WindowConfig(patch_side=20, step=4, rank=7, sparse_card=sparse_card)
+        grid = enumerate_patches(scene.dims, window)
+        first = {scene.data[r:r + 20, c:c + 20].tobytes(): i
+                 for i, (r, c) in enumerate(grid.origins[::2])}
+        assert len(first) == 8
+        real_chunk, real_windows = pipeline._fit_chunk, pipeline._fit_windows
+        caller, cv, order, records = threading.get_ident(), threading.Condition(), [], []
+
+        def chunk_spy(chunk, *args):
+            i = first[chunk[0].tobytes()]  # before the fit overwrites the chunk
+            fitted = real_chunk(chunk, *args)
+            with cv:
+                if threading.get_ident() == caller:
+                    assert cv.wait_for(lambda: len(order) >= 2, timeout=10)
+                order.append(i)
+                cv.notify_all()
+            return fitted
+
+        def windows_spy(*args, **kwargs):
+            fitted = real_windows(*args, **kwargs)
+            records.append(fitted[2])
+            return fitted
+
+        monkeypatch.setattr(pipeline, "_fit_windows", windows_spy)
+        outputs = [denoise_with_uq(scene, small_config(window=window, sigma0=0.05))]
+        monkeypatch.setattr(pipeline, "_fit_chunk", chunk_spy)
+        for threads in (2, 3):
+            order.clear()
+            outputs.append(denoise_with_uq(scene, small_config(window=window, sigma0=0.05,
+                                                               threads=threads)))
+            assert sorted(order) == list(range(8)) and order != sorted(order), order
+        for (den, var), record in zip(outputs[1:], records[1:]):
+            np.testing.assert_array_equal(den.data, outputs[0][0].data)
+            np.testing.assert_array_equal(var.data, outputs[0][1].data)
+            assert set(record) == set(records[0])
+            for name, values in records[0].items():
+                assert record[name].tobytes() == values.tobytes(), name
+
 
 class TestPerWindowRecord:
     """`_fit_chunk` returns its windows and a map of per-window arrays; the

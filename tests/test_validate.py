@@ -149,9 +149,9 @@ class TestMonteCarlo:
 
     def test_runs_are_bit_reproducible(self):
         clean, noise, cfg = mc_setup()
-        a = monte_carlo(clean, noise, cfg, trials=5, base_seed=3)
-        b = monte_carlo(clean, noise, cfg, trials=5, base_seed=3)
-        np.testing.assert_array_equal(a.trial_mean.data, b.trial_mean.data)
+        a = monte_carlo(clean, noise, cfg, trials=5, base_seed=3, keep_samples=True)
+        b = monte_carlo(clean, noise, cfg, trials=5, base_seed=3, keep_samples=True)
+        np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.coverage.data, b.coverage.data)
         np.testing.assert_array_equal(a.sigma_hat.data, b.sigma_hat.data)
 
