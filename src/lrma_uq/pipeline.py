@@ -96,10 +96,11 @@ def _commit_in_order(fit, commit, count: int, workers: int) -> None:
     threads, commits one at a time and in index order.
 
     The calling thread fits index 0 and `workers` - 1 pool threads the next
-    ones; then each worker takes the next free index. A finished fit is left
-    pending, and the worker that holds the commit turn commits every pending
-    fit whose turn has come, in index order; a worker that finishes out of
-    turn takes the next index instead. An index is taken only while no more
+    ones; then each worker takes the next free index. Fits run outside the
+    scheduler's one lock, commits under it: a worker stores its finished fit
+    as pending and, still holding the lock, commits every pending fit whose
+    index is next, in index order, so a fit that finished early waits for
+    whichever worker finds it next. An index is taken only while no more
     than `workers` + 1 fits are alive, fitting, pending or being committed,
     and each fit is dropped as soon as it is committed. The first exception
     stops the workers from taking more and is raised here once every pool
@@ -118,27 +119,20 @@ def _commit_in_order(fit, commit, count: int, workers: int) -> None:
     cv = threading.Condition()
     pending = {}
     taken, done = workers, 0
-    turn = failed = False
+    failed = False
 
     def work(i):
-        nonlocal taken, done, turn, failed
+        nonlocal taken, done, failed
         try:
             while True:
                 fitted = fit(i)
                 with cv:
                     pending[i] = fitted
                     del fitted  # the dict holds the only reference
-                    mine = not (turn or failed) and done in pending
-                    turn = turn or mine
-                while mine:
-                    # Only the turn's holder pops and moves `done`; the
-                    # popped fit dies as soon as commit returns.
-                    commit(pending.pop(done))
-                    with cv:
+                    while not failed and done in pending:
+                        commit(pending.pop(done))  # the fit dies as commit returns
                         done += 1
-                        cv.notify_all()
-                        mine = turn = not failed and done in pending
-                with cv:
+                    cv.notify_all()
                     cv.wait_for(lambda: failed or taken == count or taken - done <= workers)
                     if failed or taken == count:
                         return
@@ -165,13 +159,14 @@ def _fit_windows(cube: HsiCube, cfg: PipelineConfig, leverage: bool):
     cube's memory layout, so the layout never changes an output byte; from
     a C-ordered cube, as `read_cube` returns, each window's pixels are
     gathered as contiguous runs of bands. numpy's OpenBLAS is held at one
-    thread. Workers fit chunks, and the one commit turn writes every output
-    (`_commit_in_order`): each chunk's windows are added one at a time
-    through `scatter_add_patch`, in sorted-origin order, so no stack of all
-    windows is ever held and every voxel's sum runs in the same order for
-    any worker count or chunk size. Each per-window array fills the grid
-    slice its fit returned of one grid-length array per name, allocated
-    at first sight. The sum is divided by the coverage in place.
+    thread. Workers fit chunks; whichever finds the next chunk pending
+    commits it, under the scheduler's one lock (`_commit_in_order`). Each
+    chunk's windows are added one at a time through `scatter_add_patch`,
+    in sorted-origin order, so no stack of all windows is ever held and
+    every voxel's sum runs in the same order for any worker count or chunk
+    size. Each per-window array fills the grid slice its fit returned of
+    one grid-length array per name, allocated at first sight. The sum is
+    divided by the coverage in place.
     """
     grid = enumerate_patches(cube.dims, cfg.window)
     jside = cfg.window.patch_side

@@ -496,7 +496,9 @@ class TestRuntimeErrors:
         ("residual\n0.5\nfoo\n", "error: non-numeric sample at line 3: 'foo'\n"),
         ("", "error: no samples found in {}\n"),
         ("residual\n", "error: no samples found in {}\n"),
-    ], ids=["non-numeric", "empty", "header-only"])
+        # The blank row is skipped, not read as a sample, but still counts as a line.
+        ("residual\n\n0.5\nfoo\n", "error: non-numeric sample at line 4: 'foo'\n"),
+    ], ids=["non-numeric", "empty", "header-only", "blank-row"])
     def test_unreadable_samples_are_one_error_line(self, capsys, tmp_path, check, text, line):
         samples = tmp_path / "samples.csv"
         samples.write_text(text)

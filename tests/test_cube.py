@@ -35,6 +35,8 @@ class TestHsiCube:
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError, match="positive"):
             HsiCube(np.ones((2, 0, 2)))
+        with pytest.raises(ValueError, match=r"^cube dims must all be positive, got \(2, 0, 2\)$"):
+            HsiCube.zeros((2, 0, 2))
 
     def test_copies_by_default(self):
         arr = np.ones((2, 2, 2))
@@ -156,6 +158,11 @@ class TestExtractPatch:
         with pytest.raises(ValueError, match="non-negative"):
             extract_patch(cube, VoxelIndex(-1, 0, 0), (2, 2, 2))
 
+    def test_non_positive_size(self):
+        cube = HsiCube(np.ones((4, 4, 2)))
+        with pytest.raises(ValueError, match=r"^patch size must be positive, got \(0, 2, 2\)$"):
+            extract_patch(cube, VoxelIndex(0, 0, 0), (0, 2, 2))
+
     def test_partial_band_extent_rejected(self):
         cube = HsiCube(np.ones((4, 4, 3)))
         with pytest.raises(ValueError, match="full-band"):
@@ -222,6 +229,11 @@ class TestScatterAddPatch:
         acc = HsiCube.zeros((3, 3, 1))
         with pytest.raises(ValueError, match="exceeds"):
             scatter_add_patch(acc, VoxelIndex(2, 0, 0), np.ones((2, 2, 1)))
+
+    def test_non_3d_patch_rejected(self):
+        acc = HsiCube.zeros((3, 3, 1))
+        with pytest.raises(ValueError, match="^patch must be 3-D, got ndim=2$"):
+            scatter_add_patch(acc, VoxelIndex(0, 0, 0), np.ones((2, 2)))
 
     def test_roundtrip_with_extract(self):
         rng = np.random.default_rng(3)

@@ -247,6 +247,8 @@ class TestTruncatedSvdBatch:
     def test_invalid_input(self):
         with pytest.raises(ValueError, match="stack"):
             truncated_svd_batch(np.ones((4, 4)), 1)
+        with pytest.raises(ValueError, match="^expected a 2-D matrix, got ndim=3$"):
+            truncated_svd(np.ones((2, 4, 3)), 1)
         with pytest.raises(ValueError, match="rank"):
             truncated_svd_batch(np.ones((2, 4, 3)), 4)
         bad = np.ones((2, 4, 3))
@@ -478,6 +480,8 @@ class TestGodec:
                 godec(a, 2, sparse_count=2)
 
     def test_invalid_arguments(self):
+        with pytest.raises(ValueError, match="^expected a 2-D matrix, got ndim=3$"):
+            godec(np.ones((2, 4, 4)), 1)
         with pytest.raises(ValueError, match="sparse_count"):
             godec(np.ones((4, 4)), 1, sparse_count=-1)
         with pytest.raises(ValueError, match="max_iter"):

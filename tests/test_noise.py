@@ -75,6 +75,10 @@ class TestSynthLowrankCube:
         with pytest.raises(ValueError, match="true_rank"):
             synth_lowrank_cube((4, 4, 3), 0, seed=0)
 
+    def test_non_positive_dims_rejected(self):
+        with pytest.raises(ValueError, match=r"^cube dims must all be positive, got \(4, 0, 3\)$"):
+            synth_lowrank_cube((4, 0, 3), 1, seed=0)
+
 
 class TestAddGaussian:
     def test_zero_sigma_is_identity_copy(self):

@@ -455,7 +455,8 @@ class _RecordingPool(ThreadPoolExecutor):
 
 class TestCommitTurn:
     """`pipeline._commit_in_order(fit, commit, count, workers)`: workers
-    fit chunk indices, and one commit turn commits them in index order."""
+    fit chunk indices, and commits run one at a time under the scheduler's
+    lock, in index order."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("count", [1, 5, 7, 16])
@@ -464,38 +465,46 @@ class TestCommitTurn:
         monkeypatch.setattr(_RecordingPool, "submitted", [])
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", _RecordingPool)
         lock = threading.Lock()
-        started, committed, alive = [], [], []
+        started, committed, alive, overlap = [], [], [], []
+        active = 0  # commits running now
 
         def fit(i):
             with lock:
                 started.append(i)
                 alive.append(len(started) - len(committed))  # fitting or pending
-            # Every fifth chunk is slow, so later ones finish out of turn.
+            # Every fifth chunk is slow, so later ones finish before earlier ones.
             time.sleep(0.02 if i % 5 == 0 else 0.002)
             return ("fit", i)
 
         def commit(fitted):
+            nonlocal active
             with lock:
+                active += 1
+                overlap.append(active)
                 committed.append(fitted)
             time.sleep(0.001)
+            with lock:
+                active -= 1
 
         pipeline._commit_in_order(fit, commit, count, workers)
         assert committed == [("fit", i) for i in range(count)]
+        assert max(overlap) == 1  # no two commits ever run at once
         assert sorted(started) == list(range(count))
         assert max(alive) <= workers + 1
         assert all(f.read for f in _RecordingPool.submitted)
         assert len(_RecordingPool.submitted) == min(workers, count) - 1
 
     def test_stress_more_workers_than_cores_with_a_short_switch_interval(self):
-        # Threads switch every few bytecodes, so a check-then-act on the
-        # turn, `done` or the pending fits outside the lock would drop,
-        # repeat or reorder a commit, or break the alive bound.
+        # Threads switch every few bytecodes, so a check-then-act on `done`
+        # or the pending fits outside the lock would drop, repeat or reorder
+        # a commit, run two commits at once, or break the alive bound.
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (4, 8):
                 lock = threading.Lock()
-                started, committed, alive = [], [], []
+                started, committed, alive, overlap = [], [], [], []
+                active = 0  # commits running now
 
                 def fit(i):
                     with lock:
@@ -504,13 +513,20 @@ class TestCommitTurn:
                     return i
 
                 def commit(i):
+                    nonlocal active
                     with lock:
+                        active += 1
+                        overlap.append(active)
                         committed.append(i)
+                    time.sleep(0)  # let another thread run mid-commit
+                    with lock:
+                        active -= 1
 
                 t0 = time.perf_counter()
                 pipeline._commit_in_order(fit, commit, 4000, workers)
                 assert time.perf_counter() - t0 < 60
                 assert committed == list(range(4000))
+                assert max(overlap) == 1  # no two commits ever run at once
                 assert max(alive) <= workers + 1
         finally:
             sys.setswitchinterval(old)
@@ -653,7 +669,7 @@ class TestCommitTurn:
 
 class TestPerWindowRecord:
     """`_fit_chunk` returns its windows and a map of per-window arrays; the
-    commit turn writes each one into a grid-length array in origin order.
+    commit writes each one into a grid-length array in origin order.
     The 32x30x64 cube has 4 origin rows of 4 windows of 20x20x64, fitted
     one row per 1 MiB chunk."""
 

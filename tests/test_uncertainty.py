@@ -105,6 +105,10 @@ class TestOverlapRatio:
         assert overlap_ratio((0, 0), (0, 4), 4) == 0.0
         assert overlap_ratio((0, 0), (9, 9), 4) == 0.0
 
+    def test_rejects_non_positive_patch_side(self):
+        with pytest.raises(ValueError, match="^patch_side must be >= 1, got 0$"):
+            overlap_ratio((0, 0), (0, 0), 0)
+
     def test_symmetry_and_translation_invariance(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
