@@ -1,6 +1,7 @@
 """Rank-constrained fitting, the alternating low-rank + sparse solver,
 orthogonal factor alignment, and factor-error covariance sampling."""
 
+import ctypes
 import logging
 import warnings
 
@@ -255,6 +256,130 @@ class TestTruncatedSvdBatch:
         bad[1, 0, 0] = np.inf
         with pytest.raises(ValueError, match="finite"):
             truncated_svd_batch(bad, 1)
+
+
+@pytest.fixture
+def lapack():
+    found = lowrank.blas._lapack()
+    if found is None:
+        pytest.skip("numpy's OpenBLAS exports no dsytrd/dstemr/dormtr here; the fit runs eigh")
+    return found
+
+
+def counting_eigh(monkeypatch) -> list:
+    """Route numpy.linalg.eigh through a wrapper; returns its input shapes."""
+    calls = []
+    real = np.linalg.eigh
+
+    def eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+def noisy_low_rank_stack(seed, n, k, p, true_rank=5):
+    rng = np.random.default_rng(seed)
+    signal = rng.standard_normal((n, k, true_rank)) @ rng.standard_normal((n, true_rank, p))
+    return signal + 0.05 * rng.standard_normal((n, k, p))
+
+
+TOP_R_FROM = lowrank._TOP_R_FROM
+
+
+class TestTopREigensolver:
+    # From _TOP_R_FROM rows up, with _ROWS_PER_PAIR per wanted pair, the
+    # kernel takes each Gram's top r eigenpairs by MRRR on its tridiagonal
+    # form instead of a full eigh; everything after the eigen step is the
+    # same rule.
+
+    @staticmethod
+    def both_routes(monkeypatch, stack, rank):
+        top = lowrank._gram_fit(stack.copy(), rank)
+        with monkeypatch.context() as m:
+            m.setattr(lowrank.blas, "_lapack", lambda: None)
+            full = lowrank._gram_fit(stack.copy(), rank)
+        return top, full
+
+    @pytest.mark.parametrize("p", [TOP_R_FROM, 64, 128])
+    @pytest.mark.parametrize("case", ["noisy", "zero", "rank-deficient", "huge"])
+    def test_top_r_route_matches_eigh(self, lapack, monkeypatch, p, case):
+        rank = 5
+        stack = noisy_low_rank_stack(40 + p, 4, 2 * p, p)
+        if case == "zero":
+            stack[1] = 0.0
+        elif case == "rank-deficient":  # rank 3 fails the floor: the full SVD refits it
+            stack[2] = stack[2][:, :3] @ np.random.default_rng(42).standard_normal((3, p))
+        elif case == "huge":  # its Gram overflows: fitted scaled by a power of two
+            stack[3] *= 2.0 ** 600
+        eigh_calls = counting_eigh(monkeypatch)
+        (u, s, v), (u0, s0, v0) = self.both_routes(monkeypatch, stack, rank)
+        assert eigh_calls == [(4, p, p)]  # the eigh route's only
+        np.testing.assert_allclose(s, s0, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(u, u0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v, v0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p, rank, routed", [
+        (16, 2, False), (TOP_R_FROM - 1, 5, False), (TOP_R_FROM, 5, True), (64, 7, True),
+        (64, 10, True), (64, 11, False), (40, 40, False)])
+    def test_eigh_runs_only_below_the_crossover(self, lapack, monkeypatch, p, rank, routed):
+        # From TOP_R_FROM rows with 6 per wanted pair: 64 rows take up to
+        # rank 10, and an r x r Gram, as in GoDec's Ritz fit, never does.
+        eigh_calls = counting_eigh(monkeypatch)
+        truncated_svd_batch(noisy_low_rank_stack(43, 5, 2 * p, p, true_rank=min(rank, 5)), rank)
+        assert eigh_calls == ([] if routed else [(5, p, p)])
+
+    def test_failed_dstemr_sends_only_its_matrix_to_eigh(self, lapack, monkeypatch):
+        stack = noisy_low_rank_stack(44, 4, 128, 64)
+        u0, s0, v0 = truncated_svd_batch(stack, 5)
+        calls = []
+
+        def stemr(*args):
+            lapack.stemr(*args)
+            if ctypes.c_int64.from_address(args[17]).value != -1:  # not a workspace query
+                calls.append(1)
+                if len(calls) == 3:
+                    ctypes.c_int64.from_address(args[20]).value = 1  # INFO
+        monkeypatch.setattr(lowrank.blas, "_lapack", lambda: lapack._replace(stemr=stemr))
+        eigh_calls = counting_eigh(monkeypatch)
+        u, s, v = truncated_svd_batch(stack, 5)
+        assert len(calls) == 4 and eigh_calls == [(64, 64)]
+        for got, expected in zip((u, s, v), (u0, s0, v0)):
+            np.testing.assert_array_equal(np.delete(got, 2, axis=0), np.delete(expected, 2, axis=0))
+            np.testing.assert_allclose(got[2], expected[2], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("grams, rank", [
+        (np.eye(40)[None, ::2, ::2], 3),
+        (np.eye(40, dtype=np.float32)[None], 3),
+        (np.eye(40)[None, :, :39], 3),
+        (np.eye(40)[None], 41),
+    ], ids=["strided", "float32", "not-square", "rank-above-size"])
+    def test_only_a_stack_lapack_can_address_is_passed(self, lapack, grams, rank):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            lowrank.blas._top_eigh(grams, rank)
+
+    def test_dstemr_flag_never_carries_over_to_the_next_gram(self, lapack):
+        # dstemr clears TRYRAC on a Gram without relative accuracy in its
+        # tridiagonal form (the noisy one); the already tridiagonal one keeps
+        # it, so its pairs only match its lone fit if the flag is reset.
+        noisy = noisy_low_rank_stack(46, 1, 128, 64)[0]
+        off = np.full(63, 0.1)
+        tridiagonal = np.diag(np.geomspace(100.0, 1.0, 64)) + np.diag(off, 1) + np.diag(off, -1)
+        grams = np.stack([noisy.T @ noisy, tridiagonal])
+        together = lowrank.blas._top_eigh(grams.copy(), 7)
+        for i, gram in enumerate(grams):
+            for got, alone in zip(together, lowrank.blas._top_eigh(gram[None].copy(), 7)):
+                np.testing.assert_array_equal(got[i], alone[0])
+
+    def test_one_matrix_equals_a_stack_of_one_and_its_stack_slice(self, lapack):
+        stack = noisy_low_rank_stack(45, 5, 100, 64)
+        fits = truncated_svd_batch(stack, 7)
+        for i, mat in enumerate(stack):
+            alone = lowrank._gram_fit(mat, 7)
+            for got, stacked, one in zip(alone, fits, truncated_svd_batch(mat[None], 7)):
+                np.testing.assert_array_equal(got, one[0])
+                np.testing.assert_array_equal(got, stacked[i])
 
 
 def _keep_largest(mat, count):

@@ -326,6 +326,45 @@ class TestThreadDeterminism:
             np.testing.assert_array_equal(var, outputs[0][1])
 
 
+class TestEigensolverRoute:
+    # At 64 bands each window's Gram takes the top-r LAPACK route, when
+    # numpy's OpenBLAS exports it; without it the fit runs eigh.
+    DIMS, WINDOW = (28, 26, 64), WindowConfig(patch_side=10, step=4, rank=5)
+
+    @pytest.fixture
+    def noisy(self):
+        if lowrank.blas._lapack() is None:
+            pytest.skip("numpy's OpenBLAS exports no dsytrd/dstemr/dormtr here")
+        return add_gaussian(synth_lowrank_cube(self.DIMS, true_rank=4, seed=71), 0.05, seed=71)
+
+    def test_without_lapack_the_fit_is_the_eigh_route(self, noisy, monkeypatch):
+        cfg = small_config(window=self.WINDOW, sigma0=0.05)
+        top = denoise_with_uq(noisy, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(lowrank, "_TOP_R_FROM", np.inf)
+            below = denoise_with_uq(noisy, cfg)
+        monkeypatch.setattr(lowrank.blas, "_lapack", lambda: None)
+        missing = denoise_with_uq(noisy, cfg)
+        for got, eigh_route, top_r in zip(missing, below, top):
+            np.testing.assert_array_equal(got.data, eigh_route.data)
+            np.testing.assert_allclose(top_r.data, got.data, rtol=1e-10, atol=1e-12)
+
+    def test_worker_count_never_changes_top_r_output(self, noisy, monkeypatch):
+        calls = []
+        real = lowrank.blas._top_eigh
+        monkeypatch.setattr(lowrank.blas, "_top_eigh",
+                            lambda *args: calls.append(1) or real(*args))
+        outputs = []
+        for threads in (1, 2, 8):
+            cfg = small_config(window=self.WINDOW, sigma0=0.05, threads=threads)
+            den, var = denoise_with_uq(noisy, cfg)
+            outputs.append((den.data, var.data))
+        assert calls
+        for den, var in outputs[1:]:
+            np.testing.assert_array_equal(den, outputs[0][0])
+            np.testing.assert_array_equal(var, outputs[0][1])
+
+
 class TestInputLayout:
     # The fit gathers C-contiguous chunks, so the input's memory layout never
     # changes a byte. A Fortran-ordered or axis-swapped cube once came back
